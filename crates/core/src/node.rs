@@ -115,6 +115,41 @@ impl Node {
     }
 }
 
+/// The part of a [`RoundContext`] that depends only on the tangle view:
+/// cumulative weights and ratings, plus depths when windowed tip selection
+/// is on. Contexts over the same view share one copy by reference count.
+#[derive(Clone)]
+pub(crate) struct ViewAnalysis {
+    analysis: Arc<TangleAnalysis>,
+    depths: Option<Arc<[u32]>>,
+}
+
+impl ViewAnalysis {
+    /// Run the batch DPs over `tangle` (`O(V²/64)`).
+    pub(crate) fn compute<T: TangleRead + Sync>(
+        tangle: &T,
+        cfg: &SimConfig,
+        telemetry: &lt_telemetry::Telemetry,
+    ) -> Self {
+        Self {
+            analysis: Arc::new(TangleAnalysis::compute_observed(tangle, telemetry)),
+            depths: cfg
+                .hyper
+                .window
+                .map(|_| tangle_ledger::analysis::depths(tangle).into()),
+        }
+    }
+
+    /// Snapshot a refreshed `cache` (an `O(V)` copy): equal to
+    /// [`Self::compute`] over the tangle the cache was refreshed against.
+    pub(crate) fn snapshot(cache: &AnalysisCache, cfg: &SimConfig) -> Self {
+        Self {
+            analysis: Arc::new(cache.analysis()),
+            depths: cfg.hyper.window.map(|_| cache.depths().into()),
+        }
+    }
+}
+
 /// Everything nodes share within one round: the tangle snapshot analysis,
 /// the confidence estimate, and the consensus reference model.
 ///
@@ -123,11 +158,12 @@ impl Node {
 /// round" — so one context serves all nodes of a round.
 pub struct RoundContext<'a, T: TangleRead<Payload = ModelParams> = Tangle<ModelParams>> {
     /// The tangle as of the start of the round — either the full ledger or
-    /// a zero-copy [`tangle_ledger::TangleView`] prefix of it (the
-    /// delayed-network path).
+    /// a zero-copy [`tangle_ledger::TangleView`] prefix of it (the round
+    /// simulator's views).
     pub tangle: &'a T,
-    /// Cumulative weights and ratings of the snapshot.
-    pub analysis: TangleAnalysis,
+    /// Cumulative weights and ratings of the snapshot (shared with every
+    /// other context over the same view).
+    pub analysis: Arc<TangleAnalysis>,
     /// Per-transaction walk confidence.
     pub confidence: Vec<f32>,
     /// The top `reference_avg` transactions by `confidence × rating`.
@@ -139,7 +175,7 @@ pub struct RoundContext<'a, T: TangleRead<Payload = ModelParams> = Tangle<ModelP
     /// Walk configuration used for all tip selection this round.
     pub walk: RandomWalk,
     /// Per-transaction depths, present when windowed tip selection is on.
-    pub depths: Option<Vec<u32>>,
+    pub depths: Option<Arc<[u32]>>,
     /// The configured window (mirrors `hyper.window`).
     pub window: Option<u32>,
     /// Observability handle shared by every node this round (disabled by
@@ -150,38 +186,19 @@ pub struct RoundContext<'a, T: TangleRead<Payload = ModelParams> = Tangle<ModelP
 impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
     /// Build the shared context for `round` (Algorithm 1 happens here).
     pub fn build(tangle: &'a T, cfg: &SimConfig, round: u64, seed: u64) -> Self {
-        Self::build_observed(
-            tangle,
-            cfg,
-            round,
-            seed,
-            lt_telemetry::Telemetry::disabled(),
-        )
+        let telemetry = lt_telemetry::Telemetry::disabled();
+        let view = ViewAnalysis::compute(tangle, cfg, &telemetry);
+        Self::from_analysis(tangle, view, cfg, round, seed, telemetry)
     }
 
-    /// Like [`Self::build`], threading an observability handle through the
-    /// analysis, confidence sampling, and all later tip selection.
-    pub fn build_observed(
-        tangle: &'a T,
-        cfg: &SimConfig,
-        round: u64,
-        seed: u64,
-        telemetry: lt_telemetry::Telemetry,
-    ) -> Self {
-        let analysis = TangleAnalysis::compute_observed(tangle, &telemetry);
-        let depths = cfg
-            .hyper
-            .window
-            .map(|_| tangle_ledger::analysis::depths(tangle));
-        Self::from_analysis(tangle, analysis, depths, cfg, round, seed, telemetry)
-    }
-
-    /// Like [`Self::build_observed`], serving the weight/rating/depth DPs
-    /// from `cache` instead of recomputing them. The cache is refreshed
-    /// against `tangle` first (incremental catch-up, or a counted rebuild
-    /// when it is stale — see [`AnalysisCache::refresh_observed`]), so the
-    /// context is bit-identical to a freshly built one; only the cost
-    /// changes, from `O(V²/64)` to `O(appended cones)`.
+    /// Like [`Self::build`], serving the weight/rating/depth DPs from
+    /// `cache` instead of recomputing them, and threading an observability
+    /// handle through confidence sampling and all later tip selection.
+    /// The cache is refreshed against `tangle` first (incremental
+    /// catch-up, or a counted rebuild when it is stale — see
+    /// [`AnalysisCache::refresh_observed`]), so the context is
+    /// bit-identical to a freshly built one; only the cost changes, from
+    /// `O(V²/64)` to `O(appended cones)`.
     pub fn build_with_cache(
         tangle: &'a T,
         cache: &mut AnalysisCache,
@@ -191,22 +208,22 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
         telemetry: lt_telemetry::Telemetry,
     ) -> Self {
         cache.refresh_observed(tangle, &telemetry);
-        let analysis = cache.analysis();
-        let depths = cfg.hyper.window.map(|_| cache.depths().to_vec());
-        Self::from_analysis(tangle, analysis, depths, cfg, round, seed, telemetry)
+        let view = ViewAnalysis::snapshot(cache, cfg);
+        Self::from_analysis(tangle, view, cfg, round, seed, telemetry)
     }
 
-    /// Algorithm 1 over an already-computed analysis: confidence sampling,
-    /// reference selection, and reference-model averaging.
-    fn from_analysis(
+    /// Algorithm 1 over an already-computed analysis of `tangle`:
+    /// confidence sampling, reference selection, and reference-model
+    /// averaging. `view` must be the analysis of exactly `tangle`.
+    pub(crate) fn from_analysis(
         tangle: &'a T,
-        analysis: TangleAnalysis,
-        depths: Option<Vec<u32>>,
+        view: ViewAnalysis,
         cfg: &SimConfig,
         round: u64,
         seed: u64,
         telemetry: lt_telemetry::Telemetry,
     ) -> Self {
+        let ViewAnalysis { analysis, depths } = view;
         let walk = RandomWalk::new(cfg.hyper.alpha);
         let samples = cfg.hyper.confidence_samples.max(1);
         let confidence = match cfg.hyper.confidence_mode {

@@ -6,11 +6,20 @@
 //! tangle *as of the end of the previous round*, run Algorithm 2
 //! concurrently, and their publications are appended together at the round
 //! barrier.
+//!
+//! Under a [`crate::config::NetworkModel`] a node instead sees the ledger
+//! as of the end of a round up to `max_delay_rounds` earlier; the ideal
+//! network is the special case of delay 0. Either way a view is a prefix
+//! of the ledger named by its length, and its weights, ratings and depths
+//! depend on nothing else. So one [`AnalysisCache`], refreshed once per
+//! round, serves every view: its round-end snapshots are kept for as many
+//! rounds as a delay can reach back, and every node whose view has that
+//! length shares the snapshot.
 
 use crate::config::SimConfig;
 use crate::dp::DpConfig;
 use crate::eval_cache::{EvalCache, ScratchPool, DEFAULT_EVAL_CACHE_CAPACITY};
-use crate::node::{node_step_pooled, ModelParams, Node, RoundContext};
+use crate::node::{node_step_pooled, ModelParams, Node, RoundContext, StepOutcome, ViewAnalysis};
 use feddata::{ClientData, FederatedDataset};
 use lt_telemetry::{Event, ReferenceEntry, RoundEvent, StepEvent, Telemetry};
 use parking_lot::Mutex;
@@ -60,15 +69,14 @@ pub struct Simulation<'a> {
     dp: Option<DpConfig>,
     round: u64,
     /// `round_end_len[r]` = ledger size at the end of round `r`
-    /// (`[0]` = 1, the genesis). Used to reconstruct stale views under the
-    /// [`crate::config::NetworkModel`].
+    /// (`[0]` = 1, the genesis): the lengths that name the nodes' views.
     round_end_len: Vec<usize>,
     /// Publications dropped by the lossy network so far.
     lost_publications: u64,
-    /// Incremental analysis cache for the shared round context (`None` =
-    /// recompute the batch DPs every round). Produces bit-identical runs
-    /// either way; only the cost differs.
-    cache: Option<AnalysisCache>,
+    /// Per-view analyses shared across nodes and rounds (`None` = every
+    /// round context runs the batch DPs on its own view). Produces
+    /// bit-identical runs either way; only the cost differs.
+    shared: Option<SharedAnalysis>,
     /// Per-node evaluation memoization (`None` = re-run every forward
     /// pass). Like the analysis cache this is a pure optimization: entries
     /// are keyed by the chained history signature, probes consume no
@@ -76,6 +84,64 @@ pub struct Simulation<'a> {
     eval: Option<Vec<Mutex<EvalCache>>>,
     /// Observability handle; disabled (no-op) unless attached.
     telemetry: Telemetry,
+}
+
+/// The incremental analysis cache plus the analyses it produced at recent
+/// round ends, keyed by view length. Ledger views are prefixes, so a
+/// length names one view, and a snapshot taken when the ledger had that
+/// length is that view's analysis.
+struct SharedAnalysis {
+    cache: AnalysisCache,
+    /// `(view length, analysis)` in ascending length, one per distinct
+    /// round-end length a delayed view can still name.
+    snapshots: Vec<(usize, ViewAnalysis)>,
+}
+
+impl SharedAnalysis {
+    fn new(tangle: &Tangle<ModelParams>) -> Self {
+        Self {
+            cache: AnalysisCache::new(tangle),
+            snapshots: Vec::new(),
+        }
+    }
+
+    /// Catch the cache up with the round-start ledger (one incremental
+    /// refresh per round) and snapshot it; forget snapshots of views
+    /// shorter than `oldest`, which no delay can name any more.
+    fn refresh(
+        &mut self,
+        tangle: &Tangle<ModelParams>,
+        oldest: usize,
+        cfg: &SimConfig,
+        telemetry: &Telemetry,
+    ) {
+        self.cache.refresh_observed(tangle, telemetry);
+        self.snapshots.retain(|(len, _)| *len >= oldest);
+        if self.snapshots.last().map(|(len, _)| *len) != Some(tangle.len()) {
+            let snapshot = ViewAnalysis::snapshot(&self.cache, cfg);
+            self.snapshots.push((tangle.len(), snapshot));
+        }
+    }
+
+    /// The analysis of the view of length `len`, if it was snapshotted.
+    fn get(&self, len: usize) -> Option<ViewAnalysis> {
+        self.snapshots
+            .iter()
+            .find(|(l, _)| *l == len)
+            .map(|(_, view)| view.clone())
+    }
+}
+
+/// Seed of the round context every node shares on an ideal network (and of
+/// the consensus that [`Simulation::evaluate`] reads after `round - 1`).
+fn ideal_ctx_seed(seed: u64, round: u64) -> u64 {
+    derive(seed, round ^ 0xC0FF_EE00)
+}
+
+/// Seed of node `ni`'s own round context under a
+/// [`crate::config::NetworkModel`].
+fn delayed_ctx_seed(seed: u64, round: u64, ni: usize) -> u64 {
+    derive(seed, (round ^ 0xC0FF_EE00) ^ ((ni as u64) << 32))
 }
 
 /// One fresh eval cache per node.
@@ -105,7 +171,7 @@ impl<'a> Simulation<'a> {
         Self {
             eval: Some(fresh_eval_caches(nodes.len())),
             nodes,
-            cache: Some(AnalysisCache::new(&tangle)),
+            shared: Some(SharedAnalysis::new(&tangle)),
             tangle,
             scratch: ScratchPool::new(Box::new(build)),
             cfg,
@@ -146,12 +212,15 @@ impl<'a> Simulation<'a> {
         self
     }
 
-    /// Enable or disable the incremental analysis cache (on by default).
-    /// Runs are bit-identical either way — the differential property tests
-    /// pin cached weights/ratings/depths to the from-scratch DPs — so the
-    /// only reason to disable it is to measure or test the fresh path.
+    /// Enable or disable the shared per-view analysis (on by default).
+    /// Disabled, every round context runs the batch DPs on its own view:
+    /// once per round on an ideal network, and once per node under a
+    /// [`crate::config::NetworkModel`] — the per-node fresh-DP oracle the
+    /// differential tests compare the shared path against. Runs are
+    /// bit-identical either way.
+    #[cfg(test)]
     pub fn with_analysis_cache(mut self, enabled: bool) -> Self {
-        self.cache = enabled.then(|| AnalysisCache::new(&self.tangle));
+        self.shared = enabled.then(|| SharedAnalysis::new(&self.tangle));
         self
     }
 
@@ -196,7 +265,7 @@ impl<'a> Simulation<'a> {
         Self {
             eval: Some(fresh_eval_caches(nodes.len())),
             nodes,
-            cache: Some(AnalysisCache::new(&tangle)),
+            shared: Some(SharedAnalysis::new(&tangle)),
             tangle,
             scratch: ScratchPool::new(Box::new(build)),
             cfg,
@@ -275,96 +344,98 @@ impl<'a> Simulation<'a> {
     /// one full round over an already-chosen activation list.
     fn run_round(&mut self, round: u64, idx: Vec<usize>) -> RoundStats {
         let k = idx.len();
-        // All sampled nodes run Algorithm 2. On an ideal network they share
-        // one round context (everyone sees the end of the previous round);
-        // under a NetworkModel each node reconstructs its own stale view.
         let tel = self.telemetry.clone();
         let mut phases = tel.phases();
-        let mut reference_entries: Vec<ReferenceEntry> = Vec::new();
-        let outcomes: Vec<(usize, crate::node::StepOutcome)> = match self.cfg.network {
-            None => {
-                // Split the borrows so the cache can be refreshed while the
-                // context keeps a shared reference to the tangle.
-                let (tangle, cache) = (&self.tangle, &mut self.cache);
-                let ctx_seed = derive(self.cfg.seed, round ^ 0xC0FF_EE00);
-                let ctx = phases.measure("analysis", || match cache {
-                    Some(cache) => RoundContext::build_with_cache(
-                        tangle,
-                        cache,
-                        &self.cfg,
-                        round,
-                        ctx_seed,
-                        tel.clone(),
-                    ),
-                    None => RoundContext::build_observed(
-                        tangle,
-                        &self.cfg,
-                        round,
-                        ctx_seed,
-                        tel.clone(),
-                    ),
-                });
-                if tel.enabled() {
-                    reference_entries = ctx
-                        .reference_ids
-                        .iter()
-                        .map(|id| ReferenceEntry {
-                            tx: id.index() as u32,
-                            confidence: ctx.confidence[id.index()],
-                            rating: ctx.analysis.rating[id.index()],
-                        })
-                        .collect();
+        let cfg = &self.cfg;
+        // Every node acts on the ledger as of some round end, with some
+        // context seed. On an ideal network that is the end of the previous
+        // round and one seed for all; under a NetworkModel each node draws a
+        // delay (the first draw of its own stream) and has its own seed.
+        // Nodes with the same (view length, seed) share one context.
+        let mut keys: Vec<(usize, u64)> = Vec::new();
+        let mut steps = Vec::with_capacity(k);
+        for &ni in &idx {
+            let mut node_rng = seeded(derive(cfg.seed, (round << 24) ^ ni as u64));
+            let (delay, ctx_seed) = match cfg.network {
+                None => (0, ideal_ctx_seed(cfg.seed, round)),
+                Some(net) => (
+                    node_rng.random_range(0..=net.max_delay_rounds),
+                    delayed_ctx_seed(cfg.seed, round, ni),
+                ),
+            };
+            let key = (
+                self.round_end_len[(round - 1).saturating_sub(delay) as usize],
+                ctx_seed,
+            );
+            let slot = keys.iter().position(|&x| x == key).unwrap_or_else(|| {
+                keys.push(key);
+                keys.len() - 1
+            });
+            steps.push((ni, slot, node_rng));
+        }
+        let max_delay = cfg.network.map_or(0, |net| net.max_delay_rounds);
+        let oldest = self.round_end_len[(round - 1).saturating_sub(max_delay) as usize];
+        // Zero-copy stale views: O(1), no payload clones.
+        let views: Vec<TangleView<'_, ModelParams>> = keys
+            .iter()
+            .map(|&(len, _)| TangleView::new(&self.tangle, len))
+            .collect();
+        let (tangle, shared) = (&self.tangle, &mut self.shared);
+        let contexts: Vec<RoundContext<'_, TangleView<'_, ModelParams>>> =
+            phases.measure("analysis", || {
+                if let Some(shared) = shared.as_mut() {
+                    shared.refresh(tangle, oldest, cfg, &tel);
                 }
-                let eval = &self.eval;
-                phases.measure("step", || {
-                    idx.par_iter()
-                        .map(|&ni| {
-                            let mut node_rng =
-                                seeded(derive(self.cfg.seed, (round << 24) ^ ni as u64));
-                            let mut guard = eval.as_ref().map(|caches| caches[ni].lock());
-                            let out = node_step_pooled(
-                                &self.nodes[ni],
-                                &ctx,
-                                &self.scratch,
-                                &self.cfg,
-                                &mut node_rng,
-                                guard.as_deref_mut(),
-                            );
-                            (ni, out)
-                        })
-                        .collect()
-                })
-            }
-            Some(net) => phases.measure("step", || {
-                let eval = &self.eval;
-                idx.par_iter()
-                    .map(|&ni| {
-                        let mut node_rng = seeded(derive(self.cfg.seed, (round << 24) ^ ni as u64));
-                        let delay = node_rng.random_range(0..=net.max_delay_rounds);
-                        let view_round = (round - 1).saturating_sub(delay) as usize;
-                        // Zero-copy stale view: O(1), no payload clones.
-                        let view = TangleView::new(&self.tangle, self.round_end_len[view_round]);
-                        let ctx = RoundContext::build_observed(
-                            &view,
-                            &self.cfg,
+                let shared = shared.as_ref();
+                views
+                    .par_iter()
+                    .zip(keys.par_iter())
+                    .map(|(view, &(len, ctx_seed))| {
+                        let analysis = shared
+                            .and_then(|s| s.get(len))
+                            .unwrap_or_else(|| ViewAnalysis::compute(view, cfg, &tel));
+                        RoundContext::from_analysis(
+                            view,
+                            analysis,
+                            cfg,
                             round,
-                            derive(self.cfg.seed, (round ^ 0xC0FF_EE00) ^ (ni as u64) << 32),
+                            ctx_seed,
                             tel.clone(),
-                        );
-                        let mut guard = eval.as_ref().map(|caches| caches[ni].lock());
-                        let out = node_step_pooled(
-                            &self.nodes[ni],
-                            &ctx,
-                            &self.scratch,
-                            &self.cfg,
-                            &mut node_rng,
-                            guard.as_deref_mut(),
-                        );
-                        (ni, out)
+                        )
                     })
                     .collect()
-            }),
+            });
+        // Only an ideal network has one round-wide reference to report.
+        let reference_entries: Vec<ReferenceEntry> = match &contexts[..] {
+            [ctx] if tel.enabled() && cfg.network.is_none() => ctx
+                .reference_ids
+                .iter()
+                .map(|id| ReferenceEntry {
+                    tx: id.index() as u32,
+                    confidence: ctx.confidence[id.index()],
+                    rating: ctx.analysis.rating[id.index()],
+                })
+                .collect(),
+            _ => Vec::new(),
         };
+        let eval = &self.eval;
+        let outcomes: Vec<(usize, StepOutcome)> = phases.measure("step", || {
+            steps
+                .into_par_iter()
+                .map(|(ni, slot, mut node_rng)| {
+                    let mut guard = eval.as_ref().map(|caches| caches[ni].lock());
+                    let out = node_step_pooled(
+                        &self.nodes[ni],
+                        &contexts[slot],
+                        &self.scratch,
+                        cfg,
+                        &mut node_rng,
+                        guard.as_deref_mut(),
+                    );
+                    (ni, out)
+                })
+                .collect()
+        });
         // Round barrier: publish everything at once.
         let mut published = 0;
         let mut malicious_published = 0;
@@ -463,7 +534,7 @@ impl<'a> Simulation<'a> {
             &self.tangle,
             &self.cfg,
             self.round + 1,
-            derive(self.cfg.seed, (self.round + 1) ^ 0xC0FF_EE00),
+            ideal_ctx_seed(self.cfg.seed, self.round + 1),
         );
         ctx.reference
     }
@@ -474,7 +545,7 @@ impl<'a> Simulation<'a> {
             &self.tangle,
             &self.cfg,
             self.round + 1,
-            derive(self.cfg.seed, (self.round + 1) ^ 0xC0FF_EE00),
+            ideal_ctx_seed(self.cfg.seed, self.round + 1),
         );
         let mut poisoned = 0usize;
         for id in &ctx.reference_ids {
@@ -708,8 +779,13 @@ mod tests {
     type RunFingerprint = (Vec<RoundStats>, Vec<(u64, Vec<u32>)>, f32, Vec<u8>);
 
     fn fingerprint(cfg: SimConfig, cache: bool, path: &std::path::Path) -> RunFingerprint {
+        observe(Simulation::new(dataset(10), cfg, build), cache, path)
+    }
+
+    /// [`fingerprint`] of an already-built simulation (e.g. a resumed one).
+    fn observe(sim: Simulation<'_>, cache: bool, path: &std::path::Path) -> RunFingerprint {
         let sink = lt_telemetry::JsonlSink::create(path).expect("create jsonl");
-        let mut sim = Simulation::new(dataset(10), cfg, build)
+        let mut sim = sim
             .with_analysis_cache(cache)
             .with_telemetry(Telemetry::new(sink));
         let stats: Vec<RoundStats> = (0..6).map(|_| sim.round()).collect();
@@ -717,7 +793,7 @@ mod tests {
             assert_eq!(
                 sim.telemetry().counter_value("tangle.cache_hits"),
                 6,
-                "every round context must be served from the cache"
+                "the shared analysis must be refreshed exactly once per round"
             );
             assert_eq!(sim.telemetry().counter_value("tangle.cache_rebuilds"), 0);
         }
@@ -885,6 +961,75 @@ mod tests {
         assert_eq!(a.3, b.3);
     }
 
+    fn assert_same_run(shared: &RunFingerprint, oracle: &RunFingerprint, what: &str) {
+        assert_eq!(shared.0, oracle.0, "RoundStats must match ({what})");
+        assert_eq!(shared.1, oracle.1, "ledger structure must match ({what})");
+        assert_eq!(
+            shared.2.to_bits(),
+            oracle.2.to_bits(),
+            "accuracy must match ({what})"
+        );
+        assert!(!shared.3.is_empty(), "telemetry must produce output");
+        assert_eq!(shared.3, oracle.3, "telemetry JSONL must match ({what})");
+    }
+
+    #[test]
+    fn delayed_shared_analysis_matches_per_node_oracle() {
+        // Under delay the shared path serves each node's view from the
+        // round-end snapshots of one incremental cache; the oracle runs the
+        // batch DPs per node on its own view. Windowed walks also read the
+        // snapshotted depths.
+        let dir = std::env::temp_dir();
+        for seed in [1, 7, 42] {
+            for publish_loss in [0.0, 0.05, 0.3] {
+                for window in [None, Some(3)] {
+                    let mut cfg = quick_cfg();
+                    cfg.seed = seed;
+                    cfg.hyper.window = window;
+                    cfg.network = Some(crate::config::NetworkModel {
+                        max_delay_rounds: 3,
+                        publish_loss,
+                    });
+                    let what = format!("seed {seed}, loss {publish_loss}, window {window:?}");
+                    let tag = format!("{seed}_{}_{}", publish_loss * 100.0, window.is_some());
+                    let shared = fingerprint(
+                        cfg.clone(),
+                        true,
+                        &dir.join(format!("lt_shared_{tag}.jsonl")),
+                    );
+                    let oracle =
+                        fingerprint(cfg, false, &dir.join(format!("lt_oracle_{tag}.jsonl")));
+                    assert_same_run(&shared, &oracle, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resumed_delayed_shared_analysis_matches_per_node_oracle() {
+        // A resumed simulation has no snapshots for the views named by its
+        // first rounds; those fall back to the batch DPs.
+        let mut cfg = quick_cfg();
+        cfg.hyper.window = Some(3);
+        cfg.network = Some(crate::config::NetworkModel {
+            max_delay_rounds: 3,
+            publish_loss: 0.05,
+        });
+        let mut sim = Simulation::new(dataset(10), cfg.clone(), build);
+        for _ in 0..5 {
+            sim.round();
+        }
+        let bytes = crate::persist::to_bytes(sim.tangle());
+        let resumed = || {
+            let tangle = crate::persist::from_bytes(&bytes).unwrap();
+            Simulation::resume(dataset(10), cfg.clone(), build, tangle)
+        };
+        let dir = std::env::temp_dir();
+        let shared = observe(resumed(), true, &dir.join("lt_resumed_shared.jsonl"));
+        let oracle = observe(resumed(), false, &dir.join("lt_resumed_oracle.jsonl"));
+        assert_same_run(&shared, &oracle, "resumed");
+    }
+
     #[test]
     fn cache_on_and_off_are_bit_identical_windowed() {
         // Windowed tip selection additionally consumes the cached depths.
@@ -917,6 +1062,87 @@ mod tests {
         assert_eq!(a.1, b.1, "ledger structure must match");
         assert_eq!(a.2, b.2, "accuracy must match");
         assert_eq!(a.3, b.3, "telemetry JSONL must be byte-identical");
+    }
+
+    /// FNV-1a over a stream of little-endian words and raw bytes.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn eat(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+
+        fn u64(&mut self, v: u64) {
+            self.eat(&v.to_le_bytes());
+        }
+    }
+
+    /// Digest of a whole short observed run: every `RoundStats`, the
+    /// ledger structure and payload bits, and an FNV hash of the telemetry
+    /// JSONL.
+    fn golden_digest(cfg: SimConfig, rounds: usize, tag: &str) -> u64 {
+        let path = std::env::temp_dir().join(format!("lt_golden_{tag}.jsonl"));
+        let sink = lt_telemetry::JsonlSink::create(&path).expect("create jsonl");
+        let mut sim = Simulation::new(dataset(10), cfg, build).with_telemetry(Telemetry::new(sink));
+        let mut h = Fnv(0xCBF2_9CE4_8422_2325);
+        for _ in 0..rounds {
+            let s = sim.round();
+            for v in [
+                s.round,
+                s.sampled as u64,
+                s.published as u64,
+                s.malicious_published as u64,
+                s.tips as u64,
+            ] {
+                h.u64(v);
+            }
+        }
+        for tx in sim.tangle().transactions() {
+            h.u64(tx.issuer);
+            h.u64(tx.round);
+            for p in &tx.parents {
+                h.u64(p.index() as u64);
+            }
+            for w in tx.payload.as_slice() {
+                h.eat(&w.to_bits().to_le_bytes());
+            }
+            h.u64(u64::MAX);
+        }
+        let bytes = std::fs::read(&path).expect("read jsonl");
+        let _ = std::fs::remove_file(&path);
+        assert!(!bytes.is_empty(), "telemetry must produce output");
+        let mut jsonl = Fnv(0xCBF2_9CE4_8422_2325);
+        jsonl.eat(&bytes);
+        h.u64(jsonl.0);
+        h.0
+    }
+
+    #[test]
+    fn golden_round_sim_digests() {
+        // Pinned whole-run digests of short ideal- and delayed-network
+        // blobs runs. A change that alters any round, ledger bit, or
+        // telemetry byte must say why and re-pin them deliberately.
+        let golden: [(u64, u64, u64); 3] = [
+            (1, 0x17813ae7e6a40a54, 0x61b5fd1fb380ca0c),
+            (7, 0x67381cbef57804f3, 0x6ca76f8325bde1ae),
+            (42, 0x8fc738daa0a22a04, 0x67c64aa9ce807f81),
+        ];
+        let got: Vec<(u64, u64, u64)> = golden
+            .iter()
+            .map(|&(seed, _, _)| {
+                let mut cfg = quick_cfg();
+                cfg.seed = seed;
+                let ideal = golden_digest(cfg.clone(), 6, &format!("i{seed}"));
+                cfg.network = Some(crate::config::NetworkModel {
+                    max_delay_rounds: 3,
+                    publish_loss: 0.05,
+                });
+                (seed, ideal, golden_digest(cfg, 8, &format!("d{seed}")))
+            })
+            .collect();
+        assert_eq!(got, golden, "(seed, ideal, delayed) digests");
     }
 
     #[test]

@@ -505,31 +505,10 @@ impl TangleAnalysis {
     where
         T: TangleRead + Sync,
     {
-        assert!(samples > 0, "need at least one confidence sample");
-        let n = tangle.len();
-        let hits: Vec<u32> = (0..samples)
-            .into_par_iter()
-            .map(|s| {
-                use rand::SeedableRng;
-                let mut rng = rand::rngs::SmallRng::seed_from_u64(
-                    seed ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                let mut local = vec![0u32; n];
-                for id in walk.walk_path_with_weights(tangle, &self.cumulative_weight, &mut rng) {
-                    local[id.index()] = 1;
-                }
-                local
-            })
-            .reduce(
-                || vec![0u32; n],
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(&b) {
-                        *x += y;
-                    }
-                    a
-                },
-            );
-        hits.iter().map(|&h| h as f32 / samples as f32).collect()
+        // A path visits strictly increasing ids, so no id repeats in it.
+        hit_fractions(tangle.len(), samples, seed, |rng| {
+            walk.walk_path_with_weights(tangle, &self.cumulative_weight, rng)
+        })
     }
 
     /// Like [`Self::walk_confidence`], additionally recording the sampling
@@ -565,33 +544,13 @@ impl TangleAnalysis {
     where
         T: TangleRead + Sync,
     {
-        assert!(samples > 0, "need at least one confidence sample");
-        let n = tangle.len();
-        let hits: Vec<u32> = (0..samples)
-            .into_par_iter()
-            .map(|s| {
-                use rand::SeedableRng;
-                let mut rng = rand::rngs::SmallRng::seed_from_u64(
-                    seed ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                let tip = walk.select_tip_with_weights(tangle, &self.cumulative_weight, &mut rng);
-                let mut local = vec![0u32; n];
-                local[tip.index()] = 1;
-                for a in tangle.past_cone(tip) {
-                    local[a.index()] = 1;
-                }
-                local
-            })
-            .reduce(
-                || vec![0u32; n],
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(&b) {
-                        *x += y;
-                    }
-                    a
-                },
-            );
-        hits.iter().map(|&h| h as f32 / samples as f32).collect()
+        // The past cone excludes the tip itself, so no id repeats.
+        hit_fractions(tangle.len(), samples, seed, |rng| {
+            let tip = walk.select_tip_with_weights(tangle, &self.cumulative_weight, rng);
+            let mut cone = tangle.past_cone(tip);
+            cone.push(tip);
+            cone
+        })
     }
 
     /// Algorithm 1 (generalized to the top `n`): rank transactions by
@@ -606,13 +565,48 @@ impl TangleAnalysis {
             .enumerate()
             .map(|(i, &c)| (c as f64 * self.rating[i] as f64, i as u32))
             .collect();
-        scored.sort_unstable_by(|a, b| {
+        let best_first = |a: &(f64, u32), b: &(f64, u32)| {
             b.0.partial_cmp(&a.0)
                 .expect("scores are finite")
                 .then(b.1.cmp(&a.1))
-        });
-        scored.into_iter().take(n).map(|(_, i)| TxId(i)).collect()
+        };
+        // The comparator is a total order (ids are distinct), so selecting
+        // the top n in O(V) and sorting only them equals a full sort.
+        if n < scored.len() {
+            if n > 0 {
+                scored.select_nth_unstable_by(n - 1, best_first);
+            }
+            scored.truncate(n);
+        }
+        scored.sort_unstable_by(best_first);
+        scored.into_iter().map(|(_, i)| TxId(i)).collect()
     }
+}
+
+/// Per-transaction fraction of `samples` id sets that contain it, over a
+/// tangle of `n` transactions. Set `s` is `sample` run on its own RNG
+/// derived from `seed`; the sets are drawn in parallel and must each hold
+/// distinct ids. The hits are integer counts, so the result does not
+/// depend on the order the sets are counted in.
+fn hit_fractions<F>(n: usize, samples: usize, seed: u64, sample: F) -> Vec<f32>
+where
+    F: Fn(&mut rand::rngs::SmallRng) -> Vec<TxId> + Sync,
+{
+    use rand::SeedableRng;
+    assert!(samples > 0, "need at least one confidence sample");
+    let sets: Vec<Vec<TxId>> = (0..samples)
+        .into_par_iter()
+        .map(|s| {
+            sample(&mut rand::rngs::SmallRng::seed_from_u64(
+                seed ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ))
+        })
+        .collect();
+    let mut hits = vec![0u32; n];
+    for id in sets.iter().flatten() {
+        hits[id.index()] += 1;
+    }
+    hits.iter().map(|&h| h as f32 / samples as f32).collect()
 }
 
 /// Fig. 2 view: classify every transaction relative to the current tips.

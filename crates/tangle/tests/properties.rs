@@ -7,6 +7,7 @@ use tangle_ledger::walk::{RandomWalk, TipSelector, UniformTips, WindowedWalk};
 use tangle_ledger::{Tangle, TxId};
 
 use lt_conformance::gen::tangle_from_script;
+use lt_conformance::StructModel;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -247,6 +248,33 @@ proptest! {
         prop_assert_eq!(cache.ratings().to_vec(), ratings(&shorter));
         prop_assert_eq!(cache.depths().to_vec(), depths(&shorter));
         prop_assert_eq!(cache.tips(), shorter.tips());
+    }
+
+    /// The linear-time top-n selection equals the conformance model's
+    /// selection loop. Confidences drawn from three values make exact
+    /// score ties common (all-zero cases tie everything), so the id
+    /// tie-break is exercised; `n` ranges past the ledger length.
+    #[test]
+    fn choose_reference_matches_model_oracle(
+        script in prop::collection::vec((any::<u8>(), any::<u8>()), 0..40),
+        levels in prop::collection::vec(0u8..3, 41),
+        scale in 0u8..3,
+        n in 0usize..45,
+    ) {
+        let t = tangle_from_script(&script);
+        let analysis = TangleAnalysis::compute(&t);
+        let conf: Vec<f32> = levels[..t.len()]
+            .iter()
+            .map(|&l| f32::from(l) * f32::from(scale) / 4.0)
+            .collect();
+        let picks: Vec<u32> = analysis
+            .choose_reference(&conf, n)
+            .iter()
+            .map(|id| id.index() as u32)
+            .collect();
+        let structure = t.structure();
+        let model = StructModel::new(&structure).expect("well-formed ledger");
+        prop_assert_eq!(picks, model.choose_reference(&conf, &analysis.rating, n));
     }
 
     /// Reference choice returns distinct ids, at most n, ordered by score.
