@@ -53,7 +53,7 @@ fn bench_alpha(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_alpha");
     g.sample_size(20);
     use rand::SeedableRng;
-    use tangle_ledger::walk::RandomWalk;
+    use tangle_ledger::walk::WalkTable;
     // A wide synthetic tangle with many forks.
     let mut t = tangle_ledger::Tangle::new(0u32);
     let mut rng = rand::rngs::SmallRng::seed_from_u64(4);
@@ -68,8 +68,8 @@ fn bench_alpha(c: &mut Criterion) {
     for alpha in [0.0, 0.5, 10.0] {
         g.bench_function(format!("walk_alpha_{alpha}"), |b| {
             let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
-            let walk = RandomWalk::new(alpha);
-            b.iter(|| black_box(walk.select_tip_with_weights(&t, &w, &mut rng)))
+            let table = WalkTable::new(&t, &w, alpha);
+            b.iter(|| black_box(table.walk_to_tip(t.genesis(), &mut rng)))
         });
     }
     g.finish();
@@ -128,7 +128,7 @@ fn bench_windowed_walk(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_windowed_walk");
     use rand::RngExt;
     use rand::SeedableRng;
-    use tangle_ledger::walk::{RandomWalk, WindowedWalk};
+    use tangle_ledger::walk::{window_entries, WalkTable};
     // A deep, narrow tangle: 2000 rounds of 2 transactions.
     let mut t = tangle_ledger::Tangle::new(0u32);
     let mut rng = rand::rngs::SmallRng::seed_from_u64(6);
@@ -143,15 +143,15 @@ fn bench_windowed_walk(c: &mut Criterion) {
     }
     let w = tangle_ledger::analysis::cumulative_weights(&t);
     let d = tangle_ledger::analysis::depths(&t);
-    let walk = RandomWalk::new(0.05);
+    let table = WalkTable::new(&t, &w, 0.05);
     g.bench_function("from_genesis_depth4000", |b| {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
-        b.iter(|| black_box(walk.select_tip_with_weights(&t, &w, &mut rng)))
+        b.iter(|| black_box(table.walk_to_tip(t.genesis(), &mut rng)))
     });
     g.bench_function("windowed_w16", |b| {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(8);
-        let ww = WindowedWalk::new(walk, 16);
-        b.iter(|| black_box(ww.select_tip_with_weights(&t, &w, &d, &mut rng)))
+        let entries = window_entries(&d, 16);
+        b.iter(|| black_box(table.windowed_tip(&entries, &mut rng)))
     });
     g.finish();
 }

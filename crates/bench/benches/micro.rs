@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::SeedableRng;
 use std::hint::black_box;
 use tangle_ledger::analysis::{cumulative_weights, ratings, TangleAnalysis};
-use tangle_ledger::walk::RandomWalk;
+use tangle_ledger::walk::WalkTable;
 use tangle_ledger::Tangle;
 use tinynn::rng::seeded;
 use tinynn::{ParamVec, Tensor};
@@ -39,15 +39,17 @@ fn bench_tangle_analysis(c: &mut Criterion) {
             b.iter(|| black_box(ratings(&t)))
         });
         let analysis = TangleAnalysis::compute(&t);
-        let walk = RandomWalk::default();
+        // One table per view: built outside the timed walks, as in a round.
+        g.bench_function(format!("walk_table_build_{n}tx"), |b| {
+            b.iter(|| black_box(WalkTable::new(&t, &analysis.cumulative_weight, 0.5)))
+        });
+        let table = WalkTable::new(&t, &analysis.cumulative_weight, 0.5);
         g.bench_function(format!("walk_confidence_35samples_{n}tx"), |b| {
-            b.iter(|| black_box(analysis.walk_confidence(&t, &walk, 35, 7)))
+            b.iter(|| black_box(TangleAnalysis::walk_confidence(&t, &table, 35, 7)))
         });
         g.bench_function(format!("tip_selection_walk_{n}tx"), |b| {
             let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
-            b.iter(|| {
-                black_box(walk.select_tip_with_weights(&t, &analysis.cumulative_weight, &mut rng))
-            })
+            b.iter(|| black_box(table.walk_to_tip(t.genesis(), &mut rng)))
         });
     }
     g.finish();
@@ -441,24 +443,15 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     // handle must cost the same as the raw walk (one Option check).
     let t = synthetic_tangle(30, 10);
     let analysis = TangleAnalysis::compute(&t);
-    let walk = RandomWalk::default();
+    let table = WalkTable::new(&t, &analysis.cumulative_weight, 0.5);
     let disabled = lt_telemetry::Telemetry::disabled();
     g.bench_function("tip_selection_raw", |b| {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
-        b.iter(|| {
-            black_box(walk.select_tip_with_weights(&t, &analysis.cumulative_weight, &mut rng))
-        })
+        b.iter(|| black_box(table.walk_to_tip(t.genesis(), &mut rng)))
     });
     g.bench_function("tip_selection_noop_telemetry", |b| {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
-        b.iter(|| {
-            black_box(walk.select_tip_observed(
-                &t,
-                &analysis.cumulative_weight,
-                &mut rng,
-                &disabled,
-            ))
-        })
+        b.iter(|| black_box(table.select_tip_observed(None, &mut rng, &disabled)))
     });
     // Cache-refresh probe: `refresh_observed` with a disabled handle must
     // cost the same as the raw `refresh` (the counters are never touched).

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use tangle_gossip::learn::GossipLearning;
 use tangle_gossip::{CrashEvent, FaultPlan, Latency, Network, NetworkConfig, Recovery, Topology};
 use tangle_ledger::analysis::{self, TangleAnalysis};
-use tangle_ledger::walk::RandomWalk;
+use tangle_ledger::walk::WalkTable;
 use tangle_ledger::{AnalysisCache, Tangle};
 use tinynn::rng::{derive, seeded};
 use tinynn::Sequential;
@@ -253,12 +253,11 @@ pub fn check_ledger_invariants(
         }
     }
     // Confidence invariants under both estimators.
-    let walk = RandomWalk {
-        alpha: cfg.hyper.alpha,
-    };
+    let table = WalkTable::new(tangle, &real.cumulative_weight, cfg.hyper.alpha);
     let samples = cfg.hyper.confidence_samples;
-    let conf = real.walk_confidence(tangle, &walk, samples, derive(seed, 0xC0F1));
-    let approval = real.approval_confidence(tangle, &walk, samples, derive(seed, 0xAC0F));
+    let conf = TangleAnalysis::walk_confidence(tangle, &table, samples, derive(seed, 0xC0F1));
+    let approval =
+        TangleAnalysis::approval_confidence(tangle, &table, samples, derive(seed, 0xAC0F));
     for (name, values) in [("walk", &conf), ("approval", &approval)] {
         if !values.iter().all(|c| (0.0..=1.0).contains(c)) {
             return Err(Violation::new(

@@ -9,7 +9,7 @@
 use learning_tangle::{assign_malicious, AttackKind, SimConfig, Simulation, TangleHyperParams};
 use lt_conformance::{Schedule, StructModel, StubSim};
 use tangle_ledger::analysis::TangleAnalysis;
-use tangle_ledger::walk::RandomWalk;
+use tangle_ledger::walk::WalkTable;
 use tinynn::rng::seeded;
 use tinynn::Sequential;
 
@@ -129,12 +129,8 @@ fn label_flip_attackers_are_starved_in_model_and_simulation() {
     // confidence the consensus layer actually uses must agree that no
     // malicious transaction approaches confirmation.
     let analysis = TangleAnalysis::compute(sim.tangle());
-    let conf = analysis.approval_confidence(
-        sim.tangle(),
-        &RandomWalk::new(cfg().hyper.alpha),
-        64,
-        0xF00D,
-    );
+    let table = WalkTable::new(sim.tangle(), &analysis.cumulative_weight, cfg().hyper.alpha);
+    let conf = TangleAnalysis::approval_confidence(sim.tangle(), &table, 64, 0xF00D);
     let sampled_max = views
         .iter()
         .zip(&conf)
@@ -170,7 +166,8 @@ fn honest_transactions_do_get_confirmed() {
     // checking finality) does push honest transactions past the threshold
     // the attackers never reach.
     let analysis = TangleAnalysis::compute(sim.tangle());
-    let conf = analysis.approval_confidence(sim.tangle(), &RandomWalk::new(0.5), 64, 0xF00D);
+    let table = WalkTable::new(sim.tangle(), &analysis.cumulative_weight, 0.5);
+    let conf = TangleAnalysis::approval_confidence(sim.tangle(), &table, 64, 0xF00D);
     let max_conf = views
         .iter()
         .zip(&conf)

@@ -10,7 +10,7 @@ use rand::RngExt;
 use rand_distr::{Distribution, Normal};
 use rayon::prelude::*;
 use std::sync::Arc;
-use tangle_ledger::walk::RandomWalk;
+use tangle_ledger::walk::{window_entries, BiasedRandomWalk, WalkTable};
 use tangle_ledger::{AnalysisCache, Tangle, TangleAnalysis, TangleRead, TxId};
 use tinynn::rng::{derive, seeded};
 use tinynn::{ParamVec, Sequential};
@@ -116,36 +116,57 @@ impl Node {
 }
 
 /// The part of a [`RoundContext`] that depends only on the tangle view:
-/// cumulative weights and ratings, plus depths when windowed tip selection
-/// is on. Contexts over the same view share one copy by reference count.
+/// cumulative weights and ratings, the walk's transition table, and the
+/// windowed walk's entry points when windowed tip selection is on.
+/// Contexts over the same view share one copy by reference count.
 #[derive(Clone)]
 pub(crate) struct ViewAnalysis {
     analysis: Arc<TangleAnalysis>,
-    depths: Option<Arc<[u32]>>,
+    table: Arc<WalkTable>,
+    entries: Option<Arc<[TxId]>>,
 }
 
 impl ViewAnalysis {
-    /// Run the batch DPs over `tangle` (`O(V²/64)`).
+    /// Run the batch DPs over `tangle` (`O(V²/64)`) and build the walk
+    /// table, inside a `tangle.analysis_us` span.
     pub(crate) fn compute<T: TangleRead + Sync>(
         tangle: &T,
         cfg: &SimConfig,
         telemetry: &lt_telemetry::Telemetry,
     ) -> Self {
-        Self {
-            analysis: Arc::new(TangleAnalysis::compute_observed(tangle, telemetry)),
-            depths: cfg
-                .hyper
-                .window
-                .map(|_| tangle_ledger::analysis::depths(tangle).into()),
-        }
+        let _span = telemetry.span("tangle.analysis_us");
+        let entries = cfg
+            .hyper
+            .window
+            .map(|w| window_entries(&tangle_ledger::analysis::depths(tangle), w).into());
+        Self::with_table(tangle, TangleAnalysis::compute(tangle), entries, cfg)
     }
 
-    /// Snapshot a refreshed `cache` (an `O(V)` copy): equal to
-    /// [`Self::compute`] over the tangle the cache was refreshed against.
-    pub(crate) fn snapshot(cache: &AnalysisCache, cfg: &SimConfig) -> Self {
+    /// Snapshot `cache`, refreshed against `tangle` (an `O(V + edges)`
+    /// copy and table build): equal to [`Self::compute`] over `tangle`.
+    pub(crate) fn snapshot<T: TangleRead>(
+        cache: &AnalysisCache,
+        tangle: &T,
+        cfg: &SimConfig,
+    ) -> Self {
+        let entries = cfg
+            .hyper
+            .window
+            .map(|w| window_entries(cache.depths(), w).into());
+        Self::with_table(tangle, cache.analysis(), entries, cfg)
+    }
+
+    fn with_table<T: TangleRead>(
+        tangle: &T,
+        analysis: TangleAnalysis,
+        entries: Option<Arc<[TxId]>>,
+        cfg: &SimConfig,
+    ) -> Self {
+        let table = WalkTable::new(tangle, &analysis.cumulative_weight, cfg.hyper.alpha);
         Self {
-            analysis: Arc::new(cache.analysis()),
-            depths: cfg.hyper.window.map(|_| cache.depths().into()),
+            analysis: Arc::new(analysis),
+            table: Arc::new(table),
+            entries,
         }
     }
 }
@@ -164,6 +185,10 @@ pub struct RoundContext<'a, T: TangleRead<Payload = ModelParams> = Tangle<ModelP
     /// Cumulative weights and ratings of the snapshot (shared with every
     /// other context over the same view).
     pub analysis: Arc<TangleAnalysis>,
+    /// The weighted walk's transition table over the snapshot, with
+    /// `hyper.alpha` (shared like `analysis`); every walk this round runs
+    /// over it.
+    pub table: Arc<WalkTable>,
     /// Per-transaction walk confidence.
     pub confidence: Vec<f32>,
     /// The top `reference_avg` transactions by `confidence × rating`.
@@ -172,12 +197,9 @@ pub struct RoundContext<'a, T: TangleRead<Payload = ModelParams> = Tangle<ModelP
     pub reference: ParamVec,
     /// The round being played.
     pub round: u64,
-    /// Walk configuration used for all tip selection this round.
-    pub walk: RandomWalk,
-    /// Per-transaction depths, present when windowed tip selection is on.
-    pub depths: Option<Arc<[u32]>>,
-    /// The configured window (mirrors `hyper.window`).
-    pub window: Option<u32>,
+    /// The windowed walk's entry points (depths in `[W, 2W]`), present
+    /// when windowed tip selection (`hyper.window`) is on.
+    pub entries: Option<Arc<[TxId]>>,
     /// Observability handle shared by every node this round (disabled by
     /// default, see [`lt_telemetry::Telemetry`]).
     pub telemetry: lt_telemetry::Telemetry,
@@ -208,7 +230,7 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
         telemetry: lt_telemetry::Telemetry,
     ) -> Self {
         cache.refresh_observed(tangle, &telemetry);
-        let view = ViewAnalysis::snapshot(cache, cfg);
+        let view = ViewAnalysis::snapshot(cache, tangle, cfg);
         Self::from_analysis(tangle, view, cfg, round, seed, telemetry)
     }
 
@@ -223,17 +245,20 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
         seed: u64,
         telemetry: lt_telemetry::Telemetry,
     ) -> Self {
-        let ViewAnalysis { analysis, depths } = view;
-        let walk = RandomWalk::new(cfg.hyper.alpha);
+        let ViewAnalysis {
+            analysis,
+            table,
+            entries,
+        } = view;
         let samples = cfg.hyper.confidence_samples.max(1);
         let confidence = match cfg.hyper.confidence_mode {
             crate::config::ConfidenceMode::WalkHit => {
-                analysis.walk_confidence_observed(tangle, &walk, samples, seed, &telemetry)
+                TangleAnalysis::walk_confidence_observed(tangle, &table, samples, seed, &telemetry)
             }
             crate::config::ConfidenceMode::Approval => {
                 let _span = telemetry.span("tangle.confidence_us");
                 telemetry.count("tangle.confidence_walks", samples as u64);
-                analysis.approval_confidence(tangle, &walk, samples, seed)
+                TangleAnalysis::approval_confidence(tangle, &table, samples, seed)
             }
         };
         let reference_ids = analysis.choose_reference(&confidence, cfg.hyper.reference_avg.max(1));
@@ -245,37 +270,22 @@ impl<'a, T: TangleRead<Payload = ModelParams> + Sync> RoundContext<'a, T> {
         Self {
             tangle,
             analysis,
+            table,
             confidence,
             reference_ids,
             reference,
             round,
-            walk,
-            depths,
-            window: cfg.hyper.window,
+            entries,
             telemetry,
         }
     }
 
-    /// Sample one tip by weighted random walk using the cached weights.
+    /// Sample one tip by weighted random walk over the view's table.
     /// Starts from the genesis, or from a depth-window particle when
     /// windowed selection is configured (§IV).
     pub fn sample_tip(&self, rng: &mut dyn rand::Rng) -> TxId {
-        match (self.window, &self.depths) {
-            (Some(w), Some(depths)) => tangle_ledger::walk::WindowedWalk::new(self.walk, w)
-                .select_tip_observed(
-                    self.tangle,
-                    &self.analysis.cumulative_weight,
-                    depths,
-                    rng,
-                    &self.telemetry,
-                ),
-            _ => self.walk.select_tip_observed(
-                self.tangle,
-                &self.analysis.cumulative_weight,
-                rng,
-                &self.telemetry,
-            ),
-        }
+        self.table
+            .select_tip_observed(self.entries.as_deref(), rng, &self.telemetry)
     }
 
     /// Sample `k` tips as a batch of independent walks. One draw from
@@ -461,22 +471,22 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
             }
         }
     });
-    let samples: Vec<TxId> =
-        match &bias {
-            None => ctx.sample_tips(
-                hyper.sample_size.max(hyper.num_tips),
-                rng,
-                hyper.parallel_walks,
-            ),
-            // The biased walk is a small-network research mode; its per-walk
-            // weight table makes batching pointless, so it stays serial.
-            Some(b) => (0..hyper.sample_size.max(hyper.num_tips))
-                .map(|_| {
-                    tangle_ledger::walk::BiasedRandomWalk::new(hyper.alpha, b)
-                        .select_tip_with_weights(ctx.tangle, &ctx.analysis.cumulative_weight, rng)
-                })
-                .collect(),
-        };
+    let samples: Vec<TxId> = match &bias {
+        None => ctx.sample_tips(
+            hyper.sample_size.max(hyper.num_tips),
+            rng,
+            hyper.parallel_walks,
+        ),
+        // The biased walk is a small-network research mode: its table is
+        // this node's own, built once for its walks, which stay serial.
+        Some(b) => {
+            let table = BiasedRandomWalk::new(hyper.alpha, b)
+                .table(ctx.tangle, &ctx.analysis.cumulative_weight);
+            (0..hyper.sample_size.max(hyper.num_tips))
+                .map(|_| table.walk_to_tip(ctx.tangle.genesis(), rng).0)
+                .collect()
+        }
+    };
     let parents: Vec<TxId> = if hyper.tip_validation {
         let mut distinct = samples.clone();
         distinct.sort_unstable();

@@ -10,11 +10,11 @@
 //! Under a [`crate::config::NetworkModel`] a node instead sees the ledger
 //! as of the end of a round up to `max_delay_rounds` earlier; the ideal
 //! network is the special case of delay 0. Either way a view is a prefix
-//! of the ledger named by its length, and its weights, ratings and depths
-//! depend on nothing else. So one [`AnalysisCache`], refreshed once per
-//! round, serves every view: its round-end snapshots are kept for as many
-//! rounds as a delay can reach back, and every node whose view has that
-//! length shares the snapshot.
+//! of the ledger named by its length, and its weights, ratings, depths
+//! and walk table depend on nothing else. So one [`AnalysisCache`],
+//! refreshed once per round, serves every view: its round-end snapshots
+//! are kept for as many rounds as a delay can reach back, and every node
+//! whose view has that length shares the snapshot.
 
 use crate::config::SimConfig;
 use crate::dp::DpConfig;
@@ -118,7 +118,7 @@ impl SharedAnalysis {
         self.cache.refresh_observed(tangle, telemetry);
         self.snapshots.retain(|(len, _)| *len >= oldest);
         if self.snapshots.last().map(|(len, _)| *len) != Some(tangle.len()) {
-            let snapshot = ViewAnalysis::snapshot(&self.cache, cfg);
+            let snapshot = ViewAnalysis::snapshot(&self.cache, tangle, cfg);
             self.snapshots.push((tangle.len(), snapshot));
         }
     }

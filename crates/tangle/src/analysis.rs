@@ -16,8 +16,7 @@
 use crate::bitset::BitSet;
 use crate::graph::{Tangle, TxId};
 use crate::view::TangleRead;
-use crate::walk::RandomWalk;
-use rayon::prelude::*;
+use crate::walk::WalkTable;
 use std::collections::BTreeSet;
 
 /// Exact cumulative weights: `w(t) = 1 + |{x : x directly or indirectly
@@ -479,78 +478,96 @@ impl TangleAnalysis {
         }
     }
 
-    /// Like [`Self::compute`], wrapped in a `tangle.analysis_us` span so
-    /// the weight/rating DP cost shows up in telemetry.
-    pub fn compute_observed<T>(tangle: &T, telemetry: &lt_telemetry::Telemetry) -> Self
-    where
-        T: TangleRead + Sync,
-    {
-        let _span = telemetry.span("tangle.analysis_us");
-        Self::compute(tangle)
-    }
-
-    /// Monte-Carlo walk-hit confidence (paper §III-A): run `samples` random
-    /// walks and count, for each transaction, the fraction of walks whose
-    /// particle path passed through it. The genesis always has confidence 1.
+    /// Monte-Carlo walk-hit confidence (paper §III-A): run `samples` walks
+    /// from the genesis over `table`, the walk table of `tangle`, and
+    /// count, for each transaction, the fraction of walks whose particle
+    /// path passed through it. The genesis always has confidence 1.
     ///
-    /// Walks run in parallel with per-walk derived seeds, so the result is
-    /// deterministic for a given `(tangle, walk, samples, seed)`.
-    pub fn walk_confidence<T>(
-        &self,
+    /// Walk `s` runs on its own RNG derived from `seed` and `s`, so the
+    /// result is deterministic for a given `(tangle, table, samples,
+    /// seed)`. The walks run serially and count hits in place: beyond the
+    /// result, the sampling allocates one vector of hit counts.
+    pub fn walk_confidence<T: TangleRead>(
         tangle: &T,
-        walk: &RandomWalk,
+        table: &WalkTable,
         samples: usize,
         seed: u64,
-    ) -> Vec<f32>
-    where
-        T: TangleRead + Sync,
-    {
-        // A path visits strictly increasing ids, so no id repeats in it.
-        hit_fractions(tangle.len(), samples, seed, |rng| {
-            walk.walk_path_with_weights(tangle, &self.cumulative_weight, rng)
-        })
+    ) -> Vec<f32> {
+        assert_eq!(
+            table.len(),
+            tangle.len(),
+            "walk table/tangle length mismatch"
+        );
+        let mut hits = vec![0u32; tangle.len()];
+        for s in 0..samples {
+            let rng = &mut sample_rng(seed, s);
+            let mut cur = tangle.genesis();
+            hits[cur.index()] += 1;
+            // A path visits strictly increasing ids, so no id repeats in it.
+            while let Some(next) = table.hop(cur, rng) {
+                cur = next;
+                hits[cur.index()] += 1;
+            }
+        }
+        fractions(&hits, samples)
     }
 
     /// Like [`Self::walk_confidence`], additionally recording the sampling
     /// into `telemetry`: a `tangle.confidence_us` span around the whole
     /// Monte-Carlo pass and a `tangle.confidence_walks` counter counting
     /// the individual walks.
-    pub fn walk_confidence_observed<T>(
-        &self,
+    pub fn walk_confidence_observed<T: TangleRead>(
         tangle: &T,
-        walk: &RandomWalk,
+        table: &WalkTable,
         samples: usize,
         seed: u64,
         telemetry: &lt_telemetry::Telemetry,
-    ) -> Vec<f32>
-    where
-        T: TangleRead + Sync,
-    {
+    ) -> Vec<f32> {
         let _span = telemetry.span("tangle.confidence_us");
         telemetry.count("tangle.confidence_walks", samples as u64);
-        self.walk_confidence(tangle, walk, samples, seed)
+        Self::walk_confidence(tangle, table, samples, seed)
     }
 
-    /// IOTA-style approval confidence: sample `samples` tips via the walk
-    /// and report, per transaction, the fraction of sampled tips whose past
-    /// cone contains it.
-    pub fn approval_confidence<T>(
-        &self,
+    /// IOTA-style approval confidence: sample `samples` tips by walking
+    /// `table`, the walk table of `tangle`, and report, per transaction,
+    /// the fraction of sampled tips whose past cone (or the tip itself)
+    /// contains it. Walk `s` runs on the same RNG as in
+    /// [`Self::walk_confidence`].
+    pub fn approval_confidence<T: TangleRead>(
         tangle: &T,
-        walk: &RandomWalk,
+        table: &WalkTable,
         samples: usize,
         seed: u64,
-    ) -> Vec<f32>
-    where
-        T: TangleRead + Sync,
-    {
-        // The past cone excludes the tip itself, so no id repeats.
-        hit_fractions(tangle.len(), samples, seed, |rng| {
-            let tip = walk.select_tip_with_weights(tangle, &self.cumulative_weight, rng);
-            let mut cone = tangle.past_cone(tip);
-            cone.push(tip);
-            cone
-        })
+    ) -> Vec<f32> {
+        assert_eq!(
+            table.len(),
+            tangle.len(),
+            "walk table/tangle length mismatch"
+        );
+        let n = tangle.len();
+        let mut hits = vec![0u32; n];
+        // `marks[i] == s + 1` once sample `s` has counted transaction `i`,
+        // so one buffer serves every sample without clearing. Marking on
+        // push bounds the stack by `n`.
+        let mut marks = vec![0usize; n];
+        let mut stack = Vec::with_capacity(n);
+        for s in 0..samples {
+            let (tip, _) = table.walk_to_tip(tangle.genesis(), &mut sample_rng(seed, s));
+            let mark = s + 1;
+            marks[tip.index()] = mark;
+            hits[tip.index()] += 1;
+            stack.push(tip);
+            while let Some(t) = stack.pop() {
+                for &p in &tangle.get(t).parents {
+                    if marks[p.index()] != mark {
+                        marks[p.index()] = mark;
+                        hits[p.index()] += 1;
+                        stack.push(p);
+                    }
+                }
+            }
+        }
+        fractions(&hits, samples)
     }
 
     /// Algorithm 1 (generalized to the top `n`): rank transactions by
@@ -583,29 +600,15 @@ impl TangleAnalysis {
     }
 }
 
-/// Per-transaction fraction of `samples` id sets that contain it, over a
-/// tangle of `n` transactions. Set `s` is `sample` run on its own RNG
-/// derived from `seed`; the sets are drawn in parallel and must each hold
-/// distinct ids. The hits are integer counts, so the result does not
-/// depend on the order the sets are counted in.
-fn hit_fractions<F>(n: usize, samples: usize, seed: u64, sample: F) -> Vec<f32>
-where
-    F: Fn(&mut rand::rngs::SmallRng) -> Vec<TxId> + Sync,
-{
+/// The RNG of confidence sample `s` under `seed`.
+fn sample_rng(seed: u64, s: usize) -> rand::rngs::SmallRng {
     use rand::SeedableRng;
+    rand::rngs::SmallRng::seed_from_u64(seed ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// Hit counts as fractions of `samples`.
+fn fractions(hits: &[u32], samples: usize) -> Vec<f32> {
     assert!(samples > 0, "need at least one confidence sample");
-    let sets: Vec<Vec<TxId>> = (0..samples)
-        .into_par_iter()
-        .map(|s| {
-            sample(&mut rand::rngs::SmallRng::seed_from_u64(
-                seed ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ))
-        })
-        .collect();
-    let mut hits = vec![0u32; n];
-    for id in sets.iter().flatten() {
-        hits[id.index()] += 1;
-    }
     hits.iter().map(|&h| h as f32 / samples as f32).collect()
 }
 
@@ -676,6 +679,10 @@ mod tests {
         (t, [a, b, c, d, e])
     }
 
+    fn table(t: &Tangle<u8>, alpha: f64) -> WalkTable {
+        WalkTable::new(t, &cumulative_weights(t), alpha)
+    }
+
     #[test]
     fn cumulative_weights_exact() {
         let (t, [a, b, c, d, e]) = sample();
@@ -717,8 +724,7 @@ mod tests {
     #[test]
     fn walk_confidence_bounds_and_genesis() {
         let (t, _) = sample();
-        let analysis = TangleAnalysis::compute(&t);
-        let conf = analysis.walk_confidence(&t, &RandomWalk::default(), 64, 42);
+        let conf = TangleAnalysis::walk_confidence(&t, &table(&t, 0.5), 64, 42);
         assert_eq!(conf.len(), t.len());
         assert!((conf[t.genesis().index()] - 1.0).abs() < 1e-6);
         assert!(conf.iter().all(|&c| (0.0..=1.0).contains(&c)));
@@ -727,11 +733,11 @@ mod tests {
     #[test]
     fn walk_confidence_is_deterministic_per_seed() {
         let (t, _) = sample();
-        let analysis = TangleAnalysis::compute(&t);
-        let c1 = analysis.walk_confidence(&t, &RandomWalk::default(), 32, 7);
-        let c2 = analysis.walk_confidence(&t, &RandomWalk::default(), 32, 7);
+        let table = table(&t, 0.5);
+        let c1 = TangleAnalysis::walk_confidence(&t, &table, 32, 7);
+        let c2 = TangleAnalysis::walk_confidence(&t, &table, 32, 7);
         assert_eq!(c1, c2);
-        let c3 = analysis.walk_confidence(&t, &RandomWalk::default(), 32, 8);
+        let c3 = TangleAnalysis::walk_confidence(&t, &table, 32, 8);
         assert_ne!(c1, c3);
     }
 
@@ -740,10 +746,9 @@ mod tests {
         // Every tx on a walk path is in the reached tip's past cone, so
         // approval confidence >= walk confidence for matching seeds/samples.
         let (t, _) = sample();
-        let analysis = TangleAnalysis::compute(&t);
-        let walk = RandomWalk::default();
-        let wc = analysis.walk_confidence(&t, &walk, 64, 9);
-        let ac = analysis.approval_confidence(&t, &walk, 64, 9);
+        let table = table(&t, 0.5);
+        let wc = TangleAnalysis::walk_confidence(&t, &table, 64, 9);
+        let ac = TangleAnalysis::approval_confidence(&t, &table, 64, 9);
         for (w, a) in wc.iter().zip(&ac) {
             assert!(a >= w, "approval {a} < walk {w}");
         }

@@ -8,6 +8,10 @@
 //! current particle `x`, where `w` is the cumulative weight and `α` the
 //! randomness parameter of Gal's "alpha" article cited by the paper (\[32\]).
 //! `α = 0` is the unbiased walk; large `α` is greedy.
+//!
+//! Every weighted walk runs over a [`WalkTable`]: those transition
+//! probabilities for one tangle view, computed once and shared by all the
+//! walks over that view.
 
 use crate::analysis::cumulative_weights;
 use crate::graph::{Tangle, TxId};
@@ -34,6 +38,152 @@ impl<P> TipSelector<P> for UniformTips {
     }
 }
 
+/// The weighted walk's transition table over one tangle view, in
+/// compressed sparse rows: row `i` holds the approvers of transaction `i`
+/// visible in the view, in ascending id order, each with its unnormalized
+/// transition probability `p = exp(α · (w − max w))`, and the row total
+/// summed in that order.
+///
+/// A hop draws `r` uniformly from `[0, total)` and scans the row, taking
+/// the first approver with `r < p` and subtracting `p` otherwise. That is
+/// the same RNG draw and the same float operations as recomputing the row
+/// at every hop, so a walk over the table is bit-identical to the walk
+/// that pays `exp` per approver per hop, and allocates nothing.
+#[derive(Clone, Debug)]
+pub struct WalkTable {
+    /// Row `i` is `offsets[i]..offsets[i + 1]` of `approvers` and `probs`.
+    offsets: Vec<u32>,
+    approvers: Vec<TxId>,
+    probs: Vec<f64>,
+    /// Per-row sum of `probs`, in approver order.
+    totals: Vec<f64>,
+}
+
+impl WalkTable {
+    /// The table of the α-weighted walk over `tangle` with cumulative
+    /// weights `weights` (`O(edges)` exponentials, once per view).
+    pub fn new<T: TangleRead>(tangle: &T, weights: &[u32], alpha: f64) -> Self {
+        assert_eq!(
+            weights.len(),
+            tangle.len(),
+            "weights/tangle length mismatch"
+        );
+        // `u32 → f64` is exact and monotone, so the maximum of the cast
+        // weights is the cast of the maximum weight.
+        Self::from_scores(tangle, alpha, |a| weights[a.index()] as f64)
+    }
+
+    /// Rows with `p = exp(α · (score(a) − max score))` over each row.
+    fn from_scores<T: TangleRead>(tangle: &T, alpha: f64, score: impl Fn(TxId) -> f64) -> Self {
+        let n = tangle.len();
+        // Every parent edge inside the view is one approver entry.
+        let edges: usize = tangle.transactions().iter().map(|t| t.parents.len()).sum();
+        let mut table = Self {
+            offsets: Vec::with_capacity(n + 1),
+            approvers: Vec::with_capacity(edges),
+            probs: Vec::with_capacity(edges),
+            totals: Vec::with_capacity(n),
+        };
+        table.offsets.push(0);
+        for i in 0..n {
+            let approvers = tangle.approvers(TxId(i as u32));
+            let max = approvers
+                .iter()
+                .map(|&a| score(a))
+                .fold(f64::NEG_INFINITY, f64::max);
+            let mut total = 0.0f64;
+            for &a in approvers {
+                let p = (alpha * (score(a) - max)).exp();
+                table.approvers.push(a);
+                table.probs.push(p);
+                total += p;
+            }
+            table.totals.push(total);
+            let end = u32::try_from(table.approvers.len()).expect("fewer than 2^32 approvals");
+            table.offsets.push(end);
+        }
+        table
+    }
+
+    /// Transactions in the view the table was built over.
+    pub fn len(&self) -> usize {
+        self.totals.len()
+    }
+
+    /// Always `false`: a view holds at least the genesis.
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// One hop of the walk from `cur`: `None` at a tip, the only approver
+    /// without drawing, else one weighted draw among the approvers.
+    #[inline]
+    pub fn hop<R: rand::Rng + ?Sized>(&self, cur: TxId, rng: &mut R) -> Option<TxId> {
+        let i = cur.index();
+        let row = self.offsets[i] as usize..self.offsets[i + 1] as usize;
+        let approvers = &self.approvers[row.clone()];
+        match approvers {
+            [] => None,
+            [only] => Some(*only),
+            _ => {
+                let mut r = rng.random_range(0.0..self.totals[i]);
+                for (a, &p) in approvers.iter().zip(&self.probs[row]) {
+                    if r < p {
+                        return Some(*a);
+                    }
+                    r -= p;
+                }
+                approvers.last().copied()
+            }
+        }
+    }
+
+    /// Walk from `start` to a tip; returns the tip and the number of hops.
+    pub fn walk_to_tip<R: rand::Rng + ?Sized>(&self, start: TxId, rng: &mut R) -> (TxId, usize) {
+        let (mut cur, mut hops) = (start, 0);
+        while let Some(next) = self.hop(cur, rng) {
+            cur = next;
+            hops += 1;
+        }
+        (cur, hops)
+    }
+
+    /// Windowed tip selection (see [`WindowedWalk`]): walk to a tip from an
+    /// entry particle drawn uniformly from `entries` (see
+    /// [`window_entries`]), or from the genesis when there is none.
+    pub fn windowed_tip<R: rand::Rng + ?Sized>(&self, entries: &[TxId], rng: &mut R) -> TxId {
+        let start = if entries.is_empty() {
+            TxId(0) // the genesis
+        } else {
+            entries[rng.random_range(0..entries.len())]
+        };
+        self.walk_to_tip(start, rng).0
+    }
+
+    /// Select one tip — from the genesis, or windowed when `entries` is
+    /// given — recording the walk into `telemetry`: a
+    /// `tangle.tip_selection_us` span and the `tangle.walks` counter, plus,
+    /// for a walk from the genesis only, its hop count in the
+    /// `tangle.walk_len` histogram.
+    pub fn select_tip_observed(
+        &self,
+        entries: Option<&[TxId]>,
+        rng: &mut dyn rand::Rng,
+        telemetry: &lt_telemetry::Telemetry,
+    ) -> TxId {
+        let _span = telemetry.span("tangle.tip_selection_us");
+        telemetry.count("tangle.walks", 1);
+        match entries {
+            Some(entries) => self.windowed_tip(entries, rng),
+            None => {
+                let (tip, hops) = self.walk_to_tip(TxId(0), rng); // from the genesis
+                telemetry.record("tangle.walk_len", hops as u64);
+                tip
+            }
+        }
+    }
+}
+
 /// The weighted MCMC random walk from the genesis.
 #[derive(Clone, Copy, Debug)]
 pub struct RandomWalk {
@@ -56,99 +206,12 @@ impl RandomWalk {
     pub fn new(alpha: f64) -> Self {
         Self { alpha }
     }
-
-    /// Walk once with precomputed cumulative weights, returning the full
-    /// particle path (genesis first, reached tip last).
-    ///
-    /// Using precomputed weights lets callers run many walks per tangle
-    /// snapshot (confidence sampling, per-node tip sampling) without paying
-    /// the DP each time.
-    pub fn walk_path_with_weights<T: TangleRead>(
-        &self,
-        tangle: &T,
-        weights: &[u32],
-        rng: &mut dyn rand::Rng,
-    ) -> Vec<TxId> {
-        assert_eq!(
-            weights.len(),
-            tangle.len(),
-            "weights/tangle length mismatch"
-        );
-        let mut path = vec![tangle.genesis()];
-        let mut cur = tangle.genesis();
-        let mut probs: Vec<f64> = Vec::new();
-        loop {
-            let approvers = tangle.approvers(cur);
-            match approvers.len() {
-                0 => return path,
-                1 => {
-                    cur = approvers[0];
-                }
-                _ => {
-                    probs.clear();
-                    let max_w = approvers
-                        .iter()
-                        .map(|a| weights[a.index()])
-                        .max()
-                        .expect("non-empty approvers");
-                    let mut total = 0.0f64;
-                    for a in approvers {
-                        let d = weights[a.index()] as f64 - max_w as f64;
-                        let p = (self.alpha * d).exp();
-                        probs.push(p);
-                        total += p;
-                    }
-                    let mut r = rng.random_range(0.0..total);
-                    let mut chosen = approvers[approvers.len() - 1];
-                    for (a, &p) in approvers.iter().zip(&probs) {
-                        if r < p {
-                            chosen = *a;
-                            break;
-                        }
-                        r -= p;
-                    }
-                    cur = chosen;
-                }
-            }
-            path.push(cur);
-        }
-    }
-
-    /// Select a tip with precomputed cumulative weights.
-    pub fn select_tip_with_weights<T: TangleRead>(
-        &self,
-        tangle: &T,
-        weights: &[u32],
-        rng: &mut dyn rand::Rng,
-    ) -> TxId {
-        *self
-            .walk_path_with_weights(tangle, weights, rng)
-            .last()
-            .expect("walk path is never empty")
-    }
-
-    /// Like [`Self::select_tip_with_weights`], additionally recording the
-    /// walk length (hops from the genesis) into the `tangle.walk_len`
-    /// histogram and the `tangle.walks` counter of `telemetry`.
-    pub fn select_tip_observed<T: TangleRead>(
-        &self,
-        tangle: &T,
-        weights: &[u32],
-        rng: &mut dyn rand::Rng,
-        telemetry: &lt_telemetry::Telemetry,
-    ) -> TxId {
-        let _span = telemetry.span("tangle.tip_selection_us");
-        let path = self.walk_path_with_weights(tangle, weights, rng);
-        telemetry.count("tangle.walks", 1);
-        telemetry.record("tangle.walk_len", (path.len() - 1) as u64);
-        *path.last().expect("walk path is never empty")
-    }
 }
 
 impl<P> TipSelector<P> for RandomWalk {
     fn select_tip(&self, tangle: &Tangle<P>, rng: &mut dyn rand::Rng) -> TxId {
-        let weights = cumulative_weights(tangle);
-        self.select_tip_with_weights(tangle, &weights, rng)
+        let table = WalkTable::new(tangle, &cumulative_weights(tangle), self.alpha);
+        table.walk_to_tip(tangle.genesis(), rng).0
     }
 }
 
@@ -159,7 +222,8 @@ impl<P> TipSelector<P> for RandomWalk {
 /// propose and the paper defers to future work.
 ///
 /// Falls back to the genesis when the tangle is still shallower than the
-/// window.
+/// window. Repeated selection over one view computes the entry points once
+/// ([`window_entries`]) and walks with [`WalkTable::windowed_tip`].
 #[derive(Clone, Copy, Debug)]
 pub struct WindowedWalk {
     /// The underlying weighted walk.
@@ -174,98 +238,24 @@ impl WindowedWalk {
         assert!(window >= 1, "window must be at least 1");
         Self { walk, window }
     }
+}
 
-    /// Select a tip with precomputed cumulative weights and depths
-    /// (see [`crate::analysis::depths`]).
-    pub fn select_tip_with_weights<T: TangleRead>(
-        &self,
-        tangle: &T,
-        weights: &[u32],
-        depths: &[u32],
-        rng: &mut dyn rand::Rng,
-    ) -> TxId {
-        assert_eq!(depths.len(), tangle.len(), "depths/tangle length mismatch");
-        let lo = self.window;
-        let hi = 2 * self.window;
-        let candidates: Vec<TxId> = (0..tangle.len())
-            .filter(|&i| (lo..=hi).contains(&depths[i]))
-            .map(|i| TxId(i as u32))
-            .collect();
-        let start = if candidates.is_empty() {
-            tangle.genesis()
-        } else {
-            candidates[rng.random_range(0..candidates.len())]
-        };
-        self.walk_to_tip_from(tangle, weights, start, rng)
-    }
-
-    /// Like [`Self::select_tip_with_weights`], additionally recording the
-    /// walk into `telemetry` (counter `tangle.walks`; the windowed walk
-    /// does not retrace its path, so only the count is recorded, not a
-    /// length).
-    pub fn select_tip_observed<T: TangleRead>(
-        &self,
-        tangle: &T,
-        weights: &[u32],
-        depths: &[u32],
-        rng: &mut dyn rand::Rng,
-        telemetry: &lt_telemetry::Telemetry,
-    ) -> TxId {
-        let _span = telemetry.span("tangle.tip_selection_us");
-        telemetry.count("tangle.walks", 1);
-        self.select_tip_with_weights(tangle, weights, depths, rng)
-    }
-
-    /// Run the weighted walk from an explicit start particle.
-    pub fn walk_to_tip_from<T: TangleRead>(
-        &self,
-        tangle: &T,
-        weights: &[u32],
-        start: TxId,
-        rng: &mut dyn rand::Rng,
-    ) -> TxId {
-        let mut cur = start;
-        let mut probs: Vec<f64> = Vec::new();
-        loop {
-            let approvers = tangle.approvers(cur);
-            match approvers.len() {
-                0 => return cur,
-                1 => cur = approvers[0],
-                _ => {
-                    probs.clear();
-                    let max_w = approvers
-                        .iter()
-                        .map(|a| weights[a.index()])
-                        .max()
-                        .expect("non-empty approvers");
-                    let mut total = 0.0f64;
-                    for a in approvers {
-                        let d = weights[a.index()] as f64 - max_w as f64;
-                        let p = (self.walk.alpha * d).exp();
-                        probs.push(p);
-                        total += p;
-                    }
-                    let mut r = rng.random_range(0.0..total);
-                    let mut chosen = approvers[approvers.len() - 1];
-                    for (a, &p) in approvers.iter().zip(&probs) {
-                        if r < p {
-                            chosen = *a;
-                            break;
-                        }
-                        r -= p;
-                    }
-                    cur = chosen;
-                }
-            }
-        }
-    }
+/// The windowed walk's entry points: the ids whose depth (see
+/// [`crate::analysis::depths`]) lies in `[window, 2·window]`, ascending.
+pub fn window_entries(depths: &[u32], window: u32) -> Vec<TxId> {
+    assert!(window >= 1, "window must be at least 1");
+    let range = window..=2 * window;
+    (0..depths.len())
+        .filter(|&i| range.contains(&depths[i]))
+        .map(|i| TxId(i as u32))
+        .collect()
 }
 
 impl<P> TipSelector<P> for WindowedWalk {
     fn select_tip(&self, tangle: &Tangle<P>, rng: &mut dyn rand::Rng) -> TxId {
-        let weights = cumulative_weights(tangle);
-        let depths = crate::analysis::depths(tangle);
-        self.select_tip_with_weights(tangle, &weights, &depths, rng)
+        let table = WalkTable::new(tangle, &cumulative_weights(tangle), self.walk.alpha);
+        let entries = window_entries(&crate::analysis::depths(tangle), self.window);
+        table.windowed_tip(&entries, rng)
     }
 }
 
@@ -287,54 +277,25 @@ impl<'a> BiasedRandomWalk<'a> {
         Self { alpha, bias }
     }
 
-    /// Select one tip using precomputed cumulative weights plus the bias.
-    pub fn select_tip_with_weights<T: TangleRead>(
-        &self,
-        tangle: &T,
-        weights: &[u32],
-        rng: &mut dyn rand::Rng,
-    ) -> TxId {
+    /// The table of this biased walk over `tangle` with cumulative weights
+    /// `weights`; walk it from the genesis with [`WalkTable::walk_to_tip`].
+    pub fn table<T: TangleRead>(&self, tangle: &T, weights: &[u32]) -> WalkTable {
         assert_eq!(self.bias.len(), tangle.len(), "bias/tangle length mismatch");
-        let mut cur = tangle.genesis();
-        let mut probs: Vec<f64> = Vec::new();
-        loop {
-            let approvers = tangle.approvers(cur);
-            match approvers.len() {
-                0 => return cur,
-                1 => cur = approvers[0],
-                _ => {
-                    probs.clear();
-                    let eff = |a: TxId| weights[a.index()] as f64 + self.bias[a.index()];
-                    let max_w = approvers
-                        .iter()
-                        .map(|&a| eff(a))
-                        .fold(f64::NEG_INFINITY, f64::max);
-                    let mut total = 0.0f64;
-                    for &a in approvers {
-                        let p = (self.alpha * (eff(a) - max_w)).exp();
-                        probs.push(p);
-                        total += p;
-                    }
-                    let mut r = rng.random_range(0.0..total);
-                    let mut chosen = approvers[approvers.len() - 1];
-                    for (a, &p) in approvers.iter().zip(&probs) {
-                        if r < p {
-                            chosen = *a;
-                            break;
-                        }
-                        r -= p;
-                    }
-                    cur = chosen;
-                }
-            }
-        }
+        assert_eq!(
+            weights.len(),
+            tangle.len(),
+            "weights/tangle length mismatch"
+        );
+        WalkTable::from_scores(tangle, self.alpha, |a| {
+            weights[a.index()] as f64 + self.bias[a.index()]
+        })
     }
 }
 
 impl<'a, P> TipSelector<P> for BiasedRandomWalk<'a> {
     fn select_tip(&self, tangle: &Tangle<P>, rng: &mut dyn rand::Rng) -> TxId {
-        let weights = cumulative_weights(tangle);
-        self.select_tip_with_weights(tangle, &weights, rng)
+        let table = self.table(tangle, &cumulative_weights(tangle));
+        table.walk_to_tip(tangle.genesis(), rng).0
     }
 }
 
@@ -370,25 +331,23 @@ mod tests {
     #[test]
     fn high_alpha_is_greedy() {
         let (t, _, _b, c) = forked();
-        let w = cumulative_weights(&t);
+        let table = WalkTable::new(&t, &cumulative_weights(&t), 1000.0);
         let mut r = rng(2);
-        let walk = RandomWalk::new(1000.0);
         for _ in 0..50 {
             // a has cumulative weight 2 (itself + c); b has 1 → always go a → c.
-            assert_eq!(walk.select_tip_with_weights(&t, &w, &mut r), c);
+            assert_eq!(table.walk_to_tip(t.genesis(), &mut r), (c, 2));
         }
     }
 
     #[test]
     fn zero_alpha_is_roughly_uniform() {
         let (t, _, b, _c) = forked();
-        let w = cumulative_weights(&t);
+        let table = WalkTable::new(&t, &cumulative_weights(&t), 0.0);
         let mut r = rng(3);
-        let walk = RandomWalk::new(0.0);
         let mut hits_b = 0;
         let n = 2000;
         for _ in 0..n {
-            if walk.select_tip_with_weights(&t, &w, &mut r) == b {
+            if table.walk_to_tip(t.genesis(), &mut r).0 == b {
                 hits_b += 1;
             }
         }
@@ -399,9 +358,12 @@ mod tests {
     #[test]
     fn walk_path_starts_at_genesis_ends_at_tip() {
         let (t, a, _, c) = forked();
-        let w = cumulative_weights(&t);
+        let table = WalkTable::new(&t, &cumulative_weights(&t), 1000.0);
         let mut r = rng(4);
-        let path = RandomWalk::new(1000.0).walk_path_with_weights(&t, &w, &mut r);
+        let mut path = vec![t.genesis()];
+        while let Some(next) = table.hop(path[path.len() - 1], &mut r) {
+            path.push(next);
+        }
         assert_eq!(path, vec![t.genesis(), a, c]);
     }
 
@@ -418,14 +380,13 @@ mod tests {
     #[test]
     fn bias_can_overcome_weight() {
         let (t, _, b, _c) = forked();
-        let w = cumulative_weights(&t);
         // Heavily bias the light b-branch.
         let mut bias = vec![0.0f64; t.len()];
         bias[b.index()] = 100.0;
         let walk = BiasedRandomWalk::new(10.0, &bias);
         let mut r = rng(6);
         for _ in 0..30 {
-            assert_eq!(walk.select_tip_with_weights(&t, &w, &mut r), b);
+            assert_eq!(walk.select_tip(&t, &mut r), b);
         }
     }
 

@@ -1,16 +1,179 @@
 //! Property-based tests of the ledger substrate.
 
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::rngs::SmallRng;
+use rand::{Rng as _, RngExt as _, SeedableRng};
 use tangle_ledger::analysis::{cumulative_weights, depths, ratings, TangleAnalysis};
-use tangle_ledger::walk::{RandomWalk, TipSelector, UniformTips, WindowedWalk};
-use tangle_ledger::{Tangle, TxId};
+use tangle_ledger::walk::{
+    window_entries, RandomWalk, TipSelector, UniformTips, WalkTable, WindowedWalk,
+};
+use tangle_ledger::{Tangle, TangleRead, TangleView, TxId};
 
 use lt_conformance::gen::tangle_from_script;
 use lt_conformance::StructModel;
 
+/// The per-hop walk the walk table replaced, kept as its oracle: every hop
+/// recomputes `exp(α · (w − max w))` for each approver of the particle.
+/// Returns the path from `start` to the tip it reaches.
+fn oracle_path<T: TangleRead>(
+    tangle: &T,
+    weights: &[u32],
+    alpha: f64,
+    start: TxId,
+    rng: &mut SmallRng,
+) -> Vec<TxId> {
+    let mut path = vec![start];
+    let mut cur = start;
+    let mut probs: Vec<f64> = Vec::new();
+    loop {
+        let approvers = tangle.approvers(cur);
+        match approvers.len() {
+            0 => return path,
+            1 => cur = approvers[0],
+            _ => {
+                probs.clear();
+                let max_w = approvers.iter().map(|a| weights[a.index()]).max().unwrap();
+                let mut total = 0.0f64;
+                for a in approvers {
+                    let p = (alpha * (weights[a.index()] as f64 - max_w as f64)).exp();
+                    probs.push(p);
+                    total += p;
+                }
+                let mut r = rng.random_range(0.0..total);
+                let mut chosen = approvers[approvers.len() - 1];
+                for (a, &p) in approvers.iter().zip(&probs) {
+                    if r < p {
+                        chosen = *a;
+                        break;
+                    }
+                    r -= p;
+                }
+                cur = chosen;
+            }
+        }
+        path.push(cur);
+    }
+}
+
+/// The windowed walk as it was: scan every depth for the `[W, 2W]`
+/// candidates on each walk, then walk from a uniform candidate.
+fn oracle_windowed_tip<T: TangleRead>(
+    tangle: &T,
+    weights: &[u32],
+    alpha: f64,
+    window: u32,
+    rng: &mut SmallRng,
+) -> TxId {
+    let d = depths(tangle);
+    let candidates: Vec<TxId> = (0..tangle.len())
+        .filter(|&i| (window..=2 * window).contains(&d[i]))
+        .map(|i| TxId(i as u32))
+        .collect();
+    let start = if candidates.is_empty() {
+        tangle.genesis()
+    } else {
+        candidates[rng.random_range(0..candidates.len())]
+    };
+    *oracle_path(tangle, weights, alpha, start, rng)
+        .last()
+        .unwrap()
+}
+
+/// The RNG of confidence sample `s`, as the confidence estimators derive it.
+fn sample_rng(seed: u64, s: usize) -> SmallRng {
+    SmallRng::seed_from_u64(seed ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// Confidence by the oracle walk, as `f32` bit patterns: per transaction,
+/// the fraction of the samples whose set (`sets` of the sample's path)
+/// contains it.
+fn oracle_confidence<T: TangleRead>(
+    tangle: &T,
+    weights: &[u32],
+    alpha: f64,
+    samples: usize,
+    seed: u64,
+    sets: impl Fn(Vec<TxId>) -> Vec<TxId>,
+) -> Vec<u32> {
+    let mut hits = vec![0u32; tangle.len()];
+    for s in 0..samples {
+        let path = oracle_path(
+            tangle,
+            weights,
+            alpha,
+            tangle.genesis(),
+            &mut sample_rng(seed, s),
+        );
+        for id in sets(path) {
+            hits[id.index()] += 1;
+        }
+    }
+    hits.iter()
+        .map(|&h| (h as f32 / samples as f32).to_bits())
+        .collect()
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Differential test of the walk table: over random tangles and prefix
+    /// views, walks over the table take the oracle's paths (from every
+    /// start, leaving the RNG in the same state), reach its windowed tips,
+    /// and give bit-equal walk-hit and approval confidences.
+    #[test]
+    fn walk_table_matches_per_hop_oracle(
+        script in prop::collection::vec((any::<u8>(), any::<u8>()), 0..40),
+        len in 1usize..42,
+        alpha_ix in 0usize..4,
+        window in 1u32..4,
+        samples in 1usize..40,
+        seed in any::<u64>(),
+    ) {
+        let t = tangle_from_script(&script);
+        let view = TangleView::new(&t, len.min(t.len()));
+        let alpha = [0.0, 0.05, 0.5, 1000.0][alpha_ix];
+        let w = cumulative_weights(&view);
+        let table = WalkTable::new(&view, &w, alpha);
+        prop_assert_eq!(table.len(), view.len());
+        for start in 0..view.len() {
+            let start = TxId(start as u32);
+            let mut oracle_rng = sample_rng(seed, start.index());
+            let mut rng = oracle_rng.clone();
+            let expected = oracle_path(&view, &w, alpha, start, &mut oracle_rng);
+            let mut path = vec![start];
+            while let Some(next) = table.hop(path[path.len() - 1], &mut rng) {
+                path.push(next);
+            }
+            prop_assert_eq!(table.walk_to_tip(start, &mut sample_rng(seed, start.index())),
+                (path[path.len() - 1], path.len() - 1));
+            prop_assert_eq!(path, expected);
+            prop_assert_eq!(rng.next_u64(), oracle_rng.next_u64());
+        }
+        let entries = window_entries(&depths(&view), window);
+        for s in 0..8 {
+            prop_assert_eq!(
+                table.windowed_tip(&entries, &mut sample_rng(seed, s)),
+                oracle_windowed_tip(&view, &w, alpha, window, &mut sample_rng(seed, s))
+            );
+        }
+        prop_assert_eq!(
+            bits(&TangleAnalysis::walk_confidence(&view, &table, samples, seed)),
+            oracle_confidence(&view, &w, alpha, samples, seed, |path| path)
+        );
+        prop_assert_eq!(
+            bits(&TangleAnalysis::approval_confidence(&view, &table, samples, seed)),
+            oracle_confidence(&view, &w, alpha, samples, seed, |path| {
+                let tip = path[path.len() - 1];
+                let mut cone = view.past_cone(tip);
+                cone.push(tip);
+                cone
+            })
+        );
+    }
 
     /// Any walk configuration always terminates at a tip.
     #[test]
@@ -41,9 +204,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let t = tangle_from_script(&script);
-        let analysis = TangleAnalysis::compute(&t);
-        let walk = RandomWalk::new(0.2);
-        let conf = analysis.walk_confidence(&t, &walk, 48, seed);
+        let table = WalkTable::new(&t, &cumulative_weights(&t), 0.2);
+        let conf = TangleAnalysis::walk_confidence(&t, &table, 48, seed);
         prop_assert!((conf[0] - 1.0).abs() < 1e-6);
         for c in &conf {
             prop_assert!((0.0..=1.0).contains(c));
@@ -286,7 +448,8 @@ proptest! {
     ) {
         let t = tangle_from_script(&script);
         let analysis = TangleAnalysis::compute(&t);
-        let conf = analysis.walk_confidence(&t, &RandomWalk::new(0.2), 16, seed);
+        let table = WalkTable::new(&t, &analysis.cumulative_weight, 0.2);
+        let conf = TangleAnalysis::walk_confidence(&t, &table, 16, seed);
         let top = analysis.choose_reference(&conf, n);
         prop_assert!(top.len() <= n);
         prop_assert!(!top.is_empty());

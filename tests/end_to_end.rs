@@ -122,8 +122,12 @@ fn async_ledger_supports_consensus_extraction() {
 
     // Extract consensus by confidence × rating, as in the round-based path.
     let analysis = tangle_learning::ledger::TangleAnalysis::compute(&run.tangle);
-    let walk = tangle_learning::ledger::walk::RandomWalk::new(cfg.hyper.alpha);
-    let conf = analysis.walk_confidence(&run.tangle, &walk, 16, 1);
+    let table = tangle_learning::ledger::walk::WalkTable::new(
+        &run.tangle,
+        &analysis.cumulative_weight,
+        cfg.hyper.alpha,
+    );
+    let conf = tangle_learning::ledger::TangleAnalysis::walk_confidence(&run.tangle, &table, 16, 1);
     let top = analysis.choose_reference(&conf, 3);
     let payloads: Vec<&tangle_learning::nn::ParamVec> = top
         .iter()
@@ -162,8 +166,12 @@ fn sync_and_async_agree_qualitatively() {
     let target = sim.tangle().len();
     let run = run_async(&nodes, &quick_cfg(5, 17), build, 1, target);
     let analysis = tangle_learning::ledger::TangleAnalysis::compute(&run.tangle);
-    let walk = tangle_learning::ledger::walk::RandomWalk::new(0.5);
-    let conf = analysis.walk_confidence(&run.tangle, &walk, 16, 2);
+    let table = tangle_learning::ledger::walk::WalkTable::new(
+        &run.tangle,
+        &analysis.cumulative_weight,
+        0.5,
+    );
+    let conf = tangle_learning::ledger::TangleAnalysis::walk_confidence(&run.tangle, &table, 16, 2);
     let top = analysis.choose_reference(&conf, 3);
     let payloads: Vec<&tangle_learning::nn::ParamVec> = top
         .iter()
