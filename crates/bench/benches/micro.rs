@@ -198,6 +198,38 @@ fn bench_gemm(c: &mut Criterion) {
             );
         }
     }
+    // The scaled FEMNIST CNN's products for one evaluation of 4 images
+    // (per-image conv1 and conv2, the dense and classifier layers), which
+    // take the unpacked small-product path, and the paper-scale conv2 per
+    // image (64 × 14·14 × 32·9), which stays packed.
+    let paper = tinynn::zoo::CnnConfig::paper();
+    for (name, m, n, k) in [
+        ("conv1", 6, 256, 9),
+        ("conv2", 12, 64, 54),
+        ("dense", 4, 48, 192),
+        ("logits", 4, 10, 48),
+        ("paper_conv2", paper.conv2, 14 * 14, paper.conv1 * 9),
+    ] {
+        let a: Vec<f32> = (0..m * k)
+            .map(|i| ((i * 37 % 101) as f32) / 101.0)
+            .collect();
+        let bm: Vec<f32> = (0..k * n).map(|i| ((i * 53 % 89) as f32) / 89.0).collect();
+        let mut got = vec![0.0f32; m * n];
+        let mut want = vec![0.0f32; m * n];
+        tinynn::gemm::gemm(m, n, k, &a, false, &bm, false, &mut got);
+        tinynn::gemm::reference::matmul(m, n, k, &a, false, &bm, false, &mut want);
+        assert_eq!(
+            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "gemm diverged from naive at {name} {m}x{n}x{k}"
+        );
+        g.bench_function(format!("gemm_{name}_{m}x{n}x{k}"), |b| {
+            b.iter(|| {
+                tinynn::gemm::gemm(m, n, k, &a, false, &bm, false, &mut got);
+                black_box(&got);
+            })
+        });
+    }
     g.finish();
 }
 

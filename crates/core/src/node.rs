@@ -327,15 +327,26 @@ pub struct StepOutcome {
     pub reference_loss: Option<f32>,
 }
 
-/// Evaluate `params` on a client's held-out data, returning the loss.
-fn validation_loss(model: &mut Sequential, params: &ParamVec, data: &ClientData) -> f32 {
-    eval_params(model, params, data).0
-}
-
 /// Evaluate `params` on a client's held-out data, returning `(loss,
 /// accuracy)` — the pair an [`EvalCache`] memoizes.
-fn eval_params(model: &mut Sequential, params: &ParamVec, data: &ClientData) -> (f32, f32) {
+fn eval_params(
+    model: &mut Sequential,
+    params: &ParamVec,
+    data: &ClientData,
+    telemetry: &lt_telemetry::Telemetry,
+) -> (f32, f32) {
     params.assign_to(model);
+    eval_model(model, data, telemetry)
+}
+
+/// Evaluate `model` on a client's held-out data inside a `node.eval_us`
+/// span: every model evaluation of a node step, cached or not, is one span.
+fn eval_model(
+    model: &Sequential,
+    data: &ClientData,
+    telemetry: &lt_telemetry::Telemetry,
+) -> (f32, f32) {
+    let _span = telemetry.span("node.eval_us");
     model.evaluate(&data.test_x, &data.test_y)
 }
 
@@ -413,13 +424,13 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
             match c.get(key, sig, &ctx.telemetry) {
                 Some((loss, _)) => loss,
                 None => {
-                    let (loss, acc) = eval_params(&mut model, &ctx.reference, data);
+                    let (loss, acc) = eval_params(&mut model, &ctx.reference, data, &ctx.telemetry);
                     c.insert(key, sig, loss, acc, &ctx.telemetry);
                     loss
                 }
             }
         }
-        None => validation_loss(&mut model, &ctx.reference, data),
+        None => eval_params(&mut model, &ctx.reference, data, &ctx.telemetry).0,
     };
 
     // Tip selection: `sample_size` walks; with validation on, keep the
@@ -433,8 +444,7 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
                 .transactions()
                 .iter()
                 .map(|tx| {
-                    tx.payload.assign_to(&mut model);
-                    let (_, acc) = model.evaluate(&data.test_x, &data.test_y);
+                    let (_, acc) = eval_params(&mut model, &tx.payload, data, &ctx.telemetry);
                     hyper.accuracy_bias * acc as f64
                 })
                 .collect(),
@@ -457,7 +467,8 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
                     .par_iter()
                     .map(|&id| {
                         let mut m = scratch.take();
-                        let (loss, acc) = eval_params(&mut m, &ctx.tangle.get(id).payload, data);
+                        let payload = &ctx.tangle.get(id).payload;
+                        let (loss, acc) = eval_params(&mut m, payload, data, &ctx.telemetry);
                         scratch.put(m);
                         (id, loss, acc)
                     })
@@ -495,7 +506,8 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
             None => distinct
                 .into_iter()
                 .map(|tip| {
-                    let loss = validation_loss(&mut model, &ctx.tangle.get(tip).payload, data);
+                    let payload = &ctx.tangle.get(tip).payload;
+                    let (loss, _) = eval_params(&mut model, payload, data, &ctx.telemetry);
                     (loss, tip)
                 })
                 .collect(),
@@ -516,7 +528,8 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
                     .par_iter()
                     .map(|&(slot, tip)| {
                         let mut m = scratch.take();
-                        let (loss, acc) = eval_params(&mut m, &ctx.tangle.get(tip).payload, data);
+                        let payload = &ctx.tangle.get(tip).payload;
+                        let (loss, acc) = eval_params(&mut m, payload, data, &ctx.telemetry);
                         scratch.put(m);
                         (slot, tip, loss, acc)
                     })
@@ -569,7 +582,7 @@ fn honest_step<T: TangleRead<Payload = ModelParams> + Sync>(
         );
     }
     let new_params = ParamVec::from_model(&model);
-    let (new_loss, _) = model.evaluate(&data.test_x, &data.test_y);
+    let (new_loss, _) = eval_model(&model, data, &ctx.telemetry);
     scratch.put(model);
 
     // Publish gate: only emit if we beat the consensus reference locally.

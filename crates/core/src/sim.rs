@@ -1083,9 +1083,15 @@ mod tests {
     /// ledger structure and payload bits, and an FNV hash of the telemetry
     /// JSONL.
     fn golden_digest(cfg: SimConfig, rounds: usize, tag: &str) -> u64 {
+        digest_run(Simulation::new(dataset(10), cfg, build), rounds, tag)
+    }
+
+    /// Digest of `rounds` observed rounds of `sim`: every `RoundStats`, the
+    /// ledger structure and payload bits, and an FNV hash of the JSONL.
+    fn digest_run(sim: Simulation<'_>, rounds: usize, tag: &str) -> u64 {
         let path = std::env::temp_dir().join(format!("lt_golden_{tag}.jsonl"));
         let sink = lt_telemetry::JsonlSink::create(&path).expect("create jsonl");
-        let mut sim = Simulation::new(dataset(10), cfg, build).with_telemetry(Telemetry::new(sink));
+        let mut sim = sim.with_telemetry(Telemetry::new(sink));
         let mut h = Fnv(0xCBF2_9CE4_8422_2325);
         for _ in 0..rounds {
             let s = sim.round();
@@ -1143,6 +1149,81 @@ mod tests {
             })
             .collect();
         assert_eq!(got, golden, "(seed, ideal, delayed) digests");
+    }
+
+    #[test]
+    fn eval_spans_count_every_model_evaluation() {
+        // One `node.eval_us` span per evaluation that ran: every eval-cache
+        // miss (reference and candidates) plus each honest step's new model.
+        let mut cfg = quick_cfg();
+        cfg.hyper.tip_validation = true;
+        let tel = Telemetry::with_timings(lt_telemetry::MemorySink::new(), true);
+        let mut sim = Simulation::new(dataset(10), cfg, build).with_telemetry(tel);
+        let steps: usize = (0..5).map(|_| sim.round().sampled).sum();
+        let tel = sim.telemetry();
+        let misses = tel.counter_value("eval_cache.misses");
+        assert!(misses > steps as u64, "validation must evaluate candidates");
+        assert_eq!(
+            tel.histogram_totals("node.eval_us").0,
+            misses + steps as u64
+        );
+    }
+
+    /// A short scaled-FEMNIST CNN run with §III-E tip validation and
+    /// label-flip nodes: the CNN's forward and backward passes (conv,
+    /// ReLU, max-pool, dense GEMMs) decide every published payload and
+    /// every validation verdict.
+    fn golden_cnn_digest(seed: u64) -> u64 {
+        use feddata::femnist::{self, FemnistConfig};
+        let f = FemnistConfig {
+            users: 8,
+            samples_per_user: (6, 10),
+            ..FemnistConfig::scaled()
+        };
+        let data = femnist::generate(&f, 11);
+        let cnn = move || {
+            tinynn::zoo::femnist_cnn(
+                f.img,
+                f.classes,
+                tinynn::zoo::CnnConfig::scaled(),
+                &mut tseed(13),
+            )
+        };
+        let cfg = SimConfig {
+            nodes_per_round: 4,
+            lr: 0.06,
+            batch_size: 8,
+            eval_fraction: 1.0,
+            seed,
+            hyper: TangleHyperParams::robust(4),
+            ..SimConfig::default()
+        };
+        let mut sim = Simulation::new(data, cfg, cnn);
+        assign_malicious(
+            sim.nodes_mut(),
+            0.25,
+            1,
+            AttackKind::LabelFlip { src: 3, dst: 8 },
+            seed ^ 0x5EED,
+            crate::attack::default_flip_source(3, 8),
+        );
+        digest_run(sim, 3, &format!("cnn{seed}"))
+    }
+
+    #[test]
+    fn golden_cnn_round_sim_digests() {
+        // Pinned whole-run digests of a CNN run: a tinynn kernel change
+        // that alters any output bit changes them.
+        let golden: [(u64, u64); 3] = [
+            (1, 0xe5f1a5ce537d67a7),
+            (7, 0x2d9ef87b9f02835a),
+            (42, 0x3b903a425aad802d),
+        ];
+        let got: Vec<(u64, u64)> = golden
+            .iter()
+            .map(|&(seed, _)| (seed, golden_cnn_digest(seed)))
+            .collect();
+        assert_eq!(got, golden, "(seed, cnn) digests");
     }
 
     #[test]

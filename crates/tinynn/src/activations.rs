@@ -20,11 +20,11 @@ impl Layer for Relu {
     }
 
     fn forward(&self, x: &Tensor, _train: bool) -> (Tensor, Cache) {
+        // A select rather than a conditional store, so the loop vectorizes;
+        // NaN and -0.0 pass through unchanged either way.
         let mut y = x.clone();
         for v in y.as_mut_slice() {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
+            *v = if *v < 0.0 { 0.0 } else { *v };
         }
         (y, Cache::none())
     }
@@ -32,9 +32,7 @@ impl Layer for Relu {
     fn backward(&self, x: &Tensor, _cache: &Cache, grad_out: &Tensor) -> (Tensor, Vec<Tensor>) {
         let mut g = grad_out.clone();
         for (gv, &xv) in g.as_mut_slice().iter_mut().zip(x.as_slice()) {
-            if xv <= 0.0 {
-                *gv = 0.0;
-            }
+            *gv = if xv <= 0.0 { 0.0 } else { *gv };
         }
         (g, Vec::new())
     }
@@ -62,12 +60,18 @@ impl Layer for Sigmoid {
         "Sigmoid"
     }
 
-    fn forward(&self, x: &Tensor, _train: bool) -> (Tensor, Cache) {
+    fn forward(&self, x: &Tensor, train: bool) -> (Tensor, Cache) {
         let mut y = x.clone();
         for v in y.as_mut_slice() {
             *v = sigmoid(*v);
         }
-        (y.clone(), Cache::new(y))
+        // Backward needs the output; inference keeps no copy of it.
+        let cache = if train {
+            Cache::new(y.clone())
+        } else {
+            Cache::none()
+        };
+        (y, cache)
     }
 
     fn backward(&self, _x: &Tensor, cache: &Cache, grad_out: &Tensor) -> (Tensor, Vec<Tensor>) {
@@ -96,12 +100,18 @@ impl Layer for Tanh {
         "Tanh"
     }
 
-    fn forward(&self, x: &Tensor, _train: bool) -> (Tensor, Cache) {
+    fn forward(&self, x: &Tensor, train: bool) -> (Tensor, Cache) {
         let mut y = x.clone();
         for v in y.as_mut_slice() {
             *v = v.tanh();
         }
-        (y.clone(), Cache::new(y))
+        // Backward needs the output; inference keeps no copy of it.
+        let cache = if train {
+            Cache::new(y.clone())
+        } else {
+            Cache::none()
+        };
+        (y, cache)
     }
 
     fn backward(&self, _x: &Tensor, cache: &Cache, grad_out: &Tensor) -> (Tensor, Vec<Tensor>) {

@@ -85,31 +85,11 @@ impl Conv2d {
     /// against that kernel tap, with zeros where the tap falls in padding.
     #[allow(clippy::too_many_arguments)]
     fn im2col(&self, xb: &[f32], h: usize, w: usize, oh: usize, ow: usize, col: &mut [f32]) {
-        let (ic, k, pad) = (self.in_ch, self.k, self.pad);
-        debug_assert_eq!(col.len(), ic * k * k * oh * ow);
+        debug_assert_eq!(col.len(), self.in_ch * self.k * self.k * oh * ow);
         col.fill(0.0);
-        for c in 0..ic {
-            let xplane = &xb[c * h * w..(c + 1) * h * w];
-            for ky in 0..k {
-                for kx in 0..k {
-                    let row = ((c * k + ky) * k + kx) * oh * ow;
-                    for oy in 0..oh {
-                        let iy = oy + ky;
-                        if iy < pad || iy >= h + pad {
-                            continue;
-                        }
-                        let iy = iy - pad;
-                        for ox in 0..ow {
-                            let ix = ox + kx;
-                            if ix < pad || ix >= w + pad {
-                                continue;
-                            }
-                            col[row + oy * ow + ox] = xplane[iy * w + (ix - pad)];
-                        }
-                    }
-                }
-            }
-        }
+        self.for_each_run(h, w, oh, ow, |src, dst, len| {
+            col[dst..dst + len].copy_from_slice(&xb[src..src + len]);
+        });
     }
 
     /// Scatter a `[IC·K·K, OH·OW]` patch-gradient matrix back onto the input
@@ -117,26 +97,44 @@ impl Conv2d {
     /// overlapping taps accumulate.
     #[allow(clippy::too_many_arguments)]
     fn col2im(&self, gcol: &[f32], h: usize, w: usize, oh: usize, ow: usize, gx: &mut [f32]) {
-        let (ic, k, pad) = (self.in_ch, self.k, self.pad);
-        debug_assert_eq!(gcol.len(), ic * k * k * oh * ow);
-        for c in 0..ic {
-            let gplane = &mut gx[c * h * w..(c + 1) * h * w];
+        debug_assert_eq!(gcol.len(), self.in_ch * self.k * self.k * oh * ow);
+        self.for_each_run(h, w, oh, ow, |src, dst, len| {
+            for (g, &v) in gx[src..src + len].iter_mut().zip(&gcol[dst..dst + len]) {
+                *g += v;
+            }
+        });
+    }
+
+    /// Visit, in `(c, ky, kx, oy)` order, every contiguous run of output
+    /// columns whose tap lands inside the input: `f(src, dst, len)` pairs
+    /// input offset `src` (into `[IC, H, W]`) with patch-matrix offset `dst`
+    /// (into `[IC·K·K, OH·OW]`) for `len` pixels. The valid output rows and
+    /// columns are computed once per tap, so no pixel is bounds-tested.
+    fn for_each_run(
+        &self,
+        h: usize,
+        w: usize,
+        oh: usize,
+        ow: usize,
+        mut f: impl FnMut(usize, usize, usize),
+    ) {
+        let (k, pad) = (self.k, self.pad);
+        // Output positions `o` with `0 <= o + tap - pad < len`.
+        let valid = |tap: usize, len: usize, out: usize| {
+            pad.saturating_sub(tap)..out.min((len + pad).saturating_sub(tap))
+        };
+        for c in 0..self.in_ch {
             for ky in 0..k {
+                let rows = valid(ky, h, oh);
                 for kx in 0..k {
+                    let cols = valid(kx, w, ow);
+                    if cols.is_empty() {
+                        continue;
+                    }
                     let row = ((c * k + ky) * k + kx) * oh * ow;
-                    for oy in 0..oh {
-                        let iy = oy + ky;
-                        if iy < pad || iy >= h + pad {
-                            continue;
-                        }
-                        let iy = iy - pad;
-                        for ox in 0..ow {
-                            let ix = ox + kx;
-                            if ix < pad || ix >= w + pad {
-                                continue;
-                            }
-                            gplane[iy * w + (ix - pad)] += gcol[row + oy * ow + ox];
-                        }
+                    for oy in rows.clone() {
+                        let src = c * h * w + (oy + ky - pad) * w + cols.start + kx - pad;
+                        f(src, row + oy * ow + cols.start, cols.len());
                     }
                 }
             }

@@ -13,14 +13,23 @@
 //! - an `MR × NR` register-tile microkernel written so the autovectorizer
 //!   turns the `NR`-wide inner loop into SIMD lanes.
 //!
+//! Products with a plain (untransposed) B of at most [`SMALL_GEMM_MAX`]
+//! multiply-adds skip the packing, which at these sizes costs as much as
+//! the arithmetic: each group of up to four output rows runs row-wise axpy
+//! over B's contiguous rows (`out[i][..] += a[i][p] · b[p][..]`), so every
+//! B row is loaded once per row group. These are the evaluation- and
+//! training-sized CNN and MLP products; 64³ and the paper-scale CNN layers
+//! stay on the packed path.
+//!
 //! **Determinism.** Every output element accumulates its `k` products in
 //! strictly ascending order: the `KC` blocks advance in ascending `k` and the
 //! microkernel loads the partially-accumulated tile from `out`, adds the
-//! block's products in ascending `k`, and stores it back. Rust/LLVM does not
-//! contract `a*b + c` into an FMA or reassociate float adds without explicit
-//! fast-math, so the blocked kernel is **bit-identical** to the scalar
-//! textbook loop (`acc = 0; for p { acc += a[i][p] * b[p][j] }`) retained in
-//! the `reference` module below. The differential proptests in
+//! block's products in ascending `k`, and stores it back; the unpacked path
+//! adds the products to the element in `out` one `p` at a time, ascending.
+//! Rust/LLVM does not contract `a*b + c` into an FMA or reassociate float
+//! adds without explicit fast-math, so both paths are **bit-identical** to
+//! the scalar textbook loop (`acc = 0; for p { acc += a[i][p] * b[p][j] }`)
+//! retained in the `reference` module below. The differential proptests in
 //! `tests/properties.rs` pin this.
 //!
 //! **Parallelism.** Large products split the output into `MC`-row blocks
@@ -50,6 +59,13 @@ pub const NR: usize = 8;
 /// `Sequential::loss_and_grads_chunked` (nested pool regions would serialize
 /// anyway, but staying below the threshold also skips the dispatch cost).
 pub const PAR_GEMM_THRESHOLD: usize = 64 * 64 * 64;
+
+/// Largest `m·n·k` served by the unpacked path (B not transposed).
+///
+/// The scaled FEMNIST CNN's layers (at most 16×48×192 in training) sit
+/// below it; 64³ and the paper-scale CNN layers (from 32×784×9 up) stay
+/// packed.
+pub const SMALL_GEMM_MAX: usize = 48 * 64 * 64;
 
 /// A logical `rows × cols` operand over row-major storage; `trans` means the
 /// storage is the transpose (`cols × rows`) and indexing swaps.
@@ -188,6 +204,39 @@ fn process_row_block(
     }
 }
 
+/// `out += op(A) · B` for a plain B without packing: groups of four output
+/// rows (then two, then one) each walk B's rows once.
+fn small_gemm(a: &MatRef<'_>, b: &[f32], n: usize, out: &mut [f32]) {
+    let m = a.rows;
+    let mut i0 = 0;
+    while i0 < m {
+        let rows = &mut out[i0 * n..];
+        i0 += match m - i0 {
+            1 => axpy_rows::<1>(a, i0, b, &mut rows[..n]),
+            2 | 3 => axpy_rows::<2>(a, i0, b, &mut rows[..2 * n]),
+            _ => axpy_rows::<4>(a, i0, b, &mut rows[..4 * n]),
+        };
+    }
+}
+
+/// `R` output rows from `i0`: for ascending `p`, add `a[i][p] · b[p][..]`
+/// to each row, loading each B row once for all `R`. Returns `R`.
+#[inline(always)]
+fn axpy_rows<const R: usize>(a: &MatRef<'_>, i0: usize, b: &[f32], out: &mut [f32]) -> usize {
+    let n = out.len() / R;
+    let mut chunks = out.chunks_exact_mut(n);
+    let rows: [&mut [f32]; R] = std::array::from_fn(|_| chunks.next().expect("R rows"));
+    for (p, brow) in b.chunks_exact(n).enumerate() {
+        let ap: [f32; R] = std::array::from_fn(|r| a.at(i0 + r, p));
+        for (j, &bv) in brow.iter().enumerate() {
+            for r in 0..R {
+                rows[r][j] += ap[r] * bv;
+            }
+        }
+    }
+    R
+}
+
 /// Single-entry blocked/packed GEMM: `out[m×n] = op(A) · op(B)` where
 /// `op(X)` is `Xᵀ` when the matching flag is set. `a` holds `m×k` values
 /// (`k×m` when `ta`), `b` holds `k×n` (`n×k` when `tb`); `out` is
@@ -233,16 +282,12 @@ pub fn gemm_accum(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let a = if ta {
-        MatRef::new(a, m, k, true)
-    } else {
-        MatRef::new(a, m, k, false)
-    };
-    let b = if tb {
-        MatRef::new(b, k, n, true)
-    } else {
-        MatRef::new(b, k, n, false)
-    };
+    let a = MatRef::new(a, m, k, ta);
+    if !tb && m * n * k <= SMALL_GEMM_MAX {
+        small_gemm(&a, b, n, out);
+        return;
+    }
+    let b = MatRef::new(b, k, n, tb);
     let parallel = m > MC && m * n * k >= PAR_GEMM_THRESHOLD;
     let mut bpack = Vec::new();
     for jc in (0..n).step_by(NC) {

@@ -2,7 +2,6 @@
 
 use crate::layer::{Cache, Layer};
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 
 /// Non-overlapping `k × k` max pooling (stride = k) over `[B, C, H, W]`.
 ///
@@ -25,46 +24,30 @@ impl Layer for MaxPool2d {
         "MaxPool2d"
     }
 
-    fn forward(&self, x: &Tensor, _train: bool) -> (Tensor, Cache) {
+    fn forward(&self, x: &Tensor, train: bool) -> (Tensor, Cache) {
         assert_eq!(x.rank(), 4, "MaxPool2d expects [B, C, H, W]");
         let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        let k = self.k;
-        let (oh, ow) = (h / k, w / k);
-        let xs = x.as_slice();
-        let plane = h * w;
-        let oplane = oh * ow;
-        let mut out = vec![0.0f32; b * c * oplane];
-        let mut argmax = vec![0u32; b * c * oplane];
-        out.par_chunks_mut(oplane)
-            .zip(argmax.par_chunks_mut(oplane))
-            .enumerate()
-            .for_each(|(pc, (ob, ab))| {
-                // pc indexes the (batch, channel) plane
-                let xp = &xs[pc * plane..(pc + 1) * plane];
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut besti = 0usize;
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let idx = (oy * k + ky) * w + ox * k + kx;
-                                if xp[idx] > best {
-                                    best = xp[idx];
-                                    besti = idx;
-                                }
-                            }
-                        }
-                        ob[oy * ow + ox] = best;
-                        ab[oy * ow + ox] = besti as u32;
-                    }
-                }
-            });
-        (
-            Tensor::from_vec(vec![b, c, oh, ow], out),
-            Cache::new(argmax),
-        )
+        let (oh, ow) = (h / self.k, w / self.k);
+        let mut out = vec![0.0f32; b * c * oh * ow];
+        // Only backward reads the argmax, so inference skips it.
+        let mut argmax = vec![0u32; if train { out.len() } else { 0 }];
+        // The 2×2 window of the FEMNIST CNN gets its own inlined copy with
+        // the window loops unrolled.
+        if self.k == 2 {
+            max_planes(x.as_slice(), 2, h, w, &mut out, &mut argmax);
+        } else {
+            max_planes(x.as_slice(), self.k, h, w, &mut out, &mut argmax);
+        }
+        let cache = if train {
+            Cache::new(argmax)
+        } else {
+            Cache::none()
+        };
+        (Tensor::from_vec(vec![b, c, oh, ow], out), cache)
     }
 
+    /// Routes each output gradient to its window's argmax; needs the cache
+    /// of a training-mode forward.
     fn backward(&self, x: &Tensor, cache: &Cache, grad_out: &Tensor) -> (Tensor, Vec<Tensor>) {
         let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         let k = self.k;
@@ -74,14 +57,47 @@ impl Layer for MaxPool2d {
         let oplane = oh * ow;
         let gs = grad_out.as_slice();
         let mut gx = vec![0.0f32; b * c * plane];
-        gx.par_chunks_mut(plane).enumerate().for_each(|(pc, gp)| {
+        for (pc, gp) in gx.chunks_exact_mut(plane).enumerate() {
             let gob = &gs[pc * oplane..(pc + 1) * oplane];
             let ab = &argmax[pc * oplane..(pc + 1) * oplane];
             for (g, &ai) in gob.iter().zip(ab) {
                 gp[ai as usize] += g;
             }
-        });
+        }
         (Tensor::from_vec(x.shape().to_vec(), gx), Vec::new())
+    }
+}
+
+/// Pool every `h × w` plane of `xs` into `out`, and record each window's
+/// argmax (an index into its plane) when `argmax` is not empty. The planes
+/// are tiny, so they run serially on the caller's thread.
+#[inline(always)]
+fn max_planes(xs: &[f32], k: usize, h: usize, w: usize, out: &mut [f32], argmax: &mut [u32]) {
+    let (oh, ow) = (h / k, w / k);
+    let oplane = oh * ow;
+    let train = !argmax.is_empty();
+    for (pc, xp) in xs.chunks_exact(h * w).enumerate() {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                // Running max and argmax as selects: strict `>`, the first
+                // index wins ties, NaN never wins.
+                let mut best = f32::NEG_INFINITY;
+                let mut besti = 0usize;
+                for ky in 0..k {
+                    let row = (oy * k + ky) * w + ox * k;
+                    for (kx, &v) in xp[row..row + k].iter().enumerate() {
+                        let wins = v > best;
+                        best = if wins { v } else { best };
+                        besti = if wins { row + kx } else { besti };
+                    }
+                }
+                let o = pc * oplane + oy * ow + ox;
+                out[o] = best;
+                if train {
+                    argmax[o] = besti as u32;
+                }
+            }
+        }
     }
 }
 

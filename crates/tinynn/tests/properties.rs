@@ -26,21 +26,41 @@ fn gemm_dim() -> impl Strategy<Value = usize> {
     })
 }
 
+/// The scaled FEMNIST CNN's products (forward and backward, batch 4 and
+/// 16) and the paper-scale first conv layer.
+const CNN_SHAPES: [(usize, usize, usize); 8] = [
+    (6, 256, 9),
+    (12, 64, 54),
+    (4, 48, 192),
+    (4, 10, 48),
+    (16, 48, 192),
+    (192, 48, 16),
+    (54, 64, 12),
+    (32, 784, 9),
+];
+
+/// GEMM shapes: block-boundary pathologies from [`gemm_dim`], the CNN's
+/// layer shapes, and shapes on both sides of the unpacked/packed dispatch
+/// boundary (`m·n·k` one step of `k` below, at, and above the largest
+/// `k` with `m·n·k <= gemm::SMALL_GEMM_MAX`).
 fn gemm_dims() -> impl Strategy<Value = (usize, usize, usize)> {
-    (gemm_dim(), gemm_dim(), gemm_dim())
+    (0usize..4, gemm_dim(), gemm_dim(), gemm_dim(), 0usize..3).prop_map(|(pick, m, n, k, step)| {
+        match pick {
+            0 | 1 => (m, n, k),
+            2 => CNN_SHAPES[(m + n + k) % CNN_SHAPES.len()],
+            _ => {
+                let k_max = gemm::SMALL_GEMM_MAX / (m * n);
+                (m, n, (k_max + step).saturating_sub(1).max(1))
+            }
+        }
+    })
 }
 
-/// Assert two GEMM outputs agree to ≤1 ulp per element (they are expected
-/// to be bit-identical; the ulp slack documents the contract without
-/// over-pinning).
-fn assert_ulp_close(got: &[f32], want: &[f32]) -> Result<(), TestCaseError> {
+/// Assert two outputs are bit-identical, element by element.
+fn assert_bits_eq(got: &[f32], want: &[f32]) -> Result<(), TestCaseError> {
     prop_assert_eq!(got.len(), want.len());
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        let ulp = (g.to_bits() as i64 - w.to_bits() as i64).abs();
-        prop_assert!(
-            g == w || ulp <= 1,
-            "element {i}: {g} vs {w} ({ulp} ulps apart)"
-        );
+        prop_assert_eq!(g.to_bits(), w.to_bits(), "element {}: {} vs {}", i, g, w);
     }
     Ok(())
 }
@@ -82,8 +102,8 @@ proptest! {
 
     /// Blocked/packed GEMM agrees with the naive reference on all three
     /// used transpose variants (plus both-transposed, reachable through the
-    /// public API), across block-boundary shapes. Exact bitwise agreement
-    /// is the design goal; ≤1 ulp is the asserted contract.
+    /// public API), across block-boundary and dispatch-boundary shapes, bit
+    /// for bit.
     #[test]
     fn gemm_blocked_matches_naive_reference(
         dims in gemm_dims(),
@@ -99,12 +119,12 @@ proptest! {
             let mut want = vec![0.0f32; m * n];
             gemm::gemm(m, n, k, &a, ta, &b, tb, &mut got);
             gemm::reference::matmul(m, n, k, &a, ta, &b, tb, &mut want);
-            assert_ulp_close(&got, &want)?;
+            assert_bits_eq(&got, &want)?;
         }
     }
 
     /// The accumulating entry point chains onto pre-filled output exactly
-    /// like the naive accumulating reference.
+    /// like the naive accumulating reference, for every transpose variant.
     #[test]
     fn gemm_accum_matches_naive_reference(
         dims in gemm_dims(),
@@ -116,11 +136,13 @@ proptest! {
         let a: Vec<f32> = (0..m * k).map(|_| rng.random_range(-3.0f32..3.0)).collect();
         let b: Vec<f32> = (0..k * n).map(|_| rng.random_range(-3.0f32..3.0)).collect();
         let init: Vec<f32> = (0..m * n).map(|_| rng.random_range(-3.0f32..3.0)).collect();
-        let mut got = init.clone();
-        let mut want = init;
-        gemm::gemm_accum(m, n, k, &a, false, &b, false, &mut got);
-        gemm::reference::matmul_accum(m, n, k, &a, false, &b, false, &mut want);
-        assert_ulp_close(&got, &want)?;
+        for &(ta, tb) in &[(false, false), (true, false), (false, true)] {
+            let mut got = init.clone();
+            let mut want = init.clone();
+            gemm::gemm_accum(m, n, k, &a, ta, &b, tb, &mut got);
+            gemm::reference::matmul_accum(m, n, k, &a, ta, &b, tb, &mut want);
+            assert_bits_eq(&got, &want)?;
+        }
     }
 
     /// (A·B)·C == A·(B·C) up to f32 noise, on compatible shapes.
@@ -256,5 +278,142 @@ proptest! {
         let a = src.predict(&xt);
         let b = dst.predict(&xt);
         prop_assert_eq!(a.as_slice(), b.as_slice());
+    }
+}
+
+/// Activation values with the edge cases drawn often: NaN, ±0.0, ±∞ and a
+/// few repeated values (so max-pool windows hold ties), else uniform.
+fn edge_value() -> impl Strategy<Value = f32> {
+    (0usize..12, -4.0f32..4.0).prop_map(|(pick, uniform)| {
+        const EDGE: [f32; 8] = [
+            f32::NAN,
+            0.0,
+            -0.0,
+            1.5,
+            -1.5,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+        ];
+        EDGE.get(pick).copied().unwrap_or(uniform)
+    })
+}
+
+/// Scalar ReLU oracle: a conditional store of `+0.0` over negatives.
+fn relu_oracle(x: &[f32]) -> Vec<f32> {
+    let mut y = x.to_vec();
+    for v in &mut y {
+        if *v < 0.0 {
+            *v = 0.0;
+        }
+    }
+    y
+}
+
+/// Scalar ReLU-gradient oracle: the gradient is cut where `x <= 0`.
+fn relu_grad_oracle(x: &[f32], g: &[f32]) -> Vec<f32> {
+    let mut out = g.to_vec();
+    for (gv, &xv) in out.iter_mut().zip(x) {
+        if xv <= 0.0 {
+            *gv = 0.0;
+        }
+    }
+    out
+}
+
+/// Scalar max-pool oracle over `[planes, h, w]`: per window, the first
+/// strictly greater tap in row-major order wins, from `(-∞, index 0)`.
+/// Returns the pooled values and the argmax (an index into each plane).
+fn pool_oracle(x: &[f32], planes: usize, h: usize, w: usize, k: usize) -> (Vec<f32>, Vec<usize>) {
+    let (oh, ow) = (h / k, w / k);
+    let (mut out, mut arg) = (Vec::new(), Vec::new());
+    for pc in 0..planes {
+        let xp = &x[pc * h * w..(pc + 1) * h * w];
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let (mut best, mut besti) = (f32::NEG_INFINITY, 0);
+                for ky in 0..k {
+                    for kx in 0..k {
+                        let idx = (oy * k + ky) * w + ox * k + kx;
+                        if xp[idx] > best {
+                            best = xp[idx];
+                            besti = idx;
+                        }
+                    }
+                }
+                out.push(best);
+                arg.push(besti);
+            }
+        }
+    }
+    (out, arg)
+}
+
+/// A `[b, c, h, w]` input with `h, w >= k` and edge-case values.
+fn pool_input() -> impl Strategy<Value = (usize, Tensor)> {
+    (1usize..=3, 1usize..=3, 1usize..=3, 0usize..=7, 0usize..=7).prop_flat_map(
+        |(k, b, c, dh, dw)| {
+            let (h, w) = (k + dh, k + dw);
+            prop::collection::vec(edge_value(), b * c * h * w)
+                .prop_map(move |v| (k, Tensor::from_vec(vec![b, c, h, w], v)))
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// ReLU forward and backward match the scalar oracles bit for bit,
+    /// NaN and -0.0 included.
+    #[test]
+    fn relu_matches_scalar_oracle(
+        x in prop::collection::vec(edge_value(), 1..80),
+        g in prop::collection::vec(edge_value(), 80),
+    ) {
+        use tinynn::Layer as _;
+        let n = x.len();
+        let xt = Tensor::from_vec(vec![n], x.clone());
+        let gt = Tensor::from_vec(vec![n], g[..n].to_vec());
+        let relu = tinynn::Relu::new();
+        for train in [false, true] {
+            let (y, cache) = relu.forward(&xt, train);
+            assert_bits_eq(y.as_slice(), &relu_oracle(&x))?;
+            let (gx, gp) = relu.backward(&xt, &cache, &gt);
+            assert_bits_eq(gx.as_slice(), &relu_grad_oracle(&x, &g[..n]))?;
+            prop_assert!(gp.is_empty());
+        }
+    }
+
+    /// MaxPool2d forward (training and inference) and backward match the
+    /// scalar oracle bit for bit: ties go to the first tap, NaN never
+    /// wins, and each output gradient lands on its window's argmax.
+    #[test]
+    fn max_pool_matches_scalar_oracle(
+        input in pool_input(),
+        seed in any::<u64>(),
+    ) {
+        use tinynn::Layer as _;
+        let (k, x) = input;
+        let s = x.shape().to_vec();
+        let (planes, h, w) = (s[0] * s[1], s[2], s[3]);
+        let (want, arg) = pool_oracle(x.as_slice(), planes, h, w, k);
+        let pool = tinynn::pool::MaxPool2d::new(k);
+        let (y_eval, _) = pool.forward(&x, false);
+        let (y, cache) = pool.forward(&x, true);
+        prop_assert_eq!(y.shape(), &[s[0], s[1], h / k, w / k][..]);
+        assert_bits_eq(y_eval.as_slice(), &want)?;
+        assert_bits_eq(y.as_slice(), &want)?;
+
+        let mut rng = tinynn::rng::seeded(seed);
+        use rand::RngExt as _;
+        let g: Vec<f32> = (0..want.len()).map(|_| rng.random_range(-2.0f32..2.0)).collect();
+        let mut gx_want = vec![0.0f32; x.len()];
+        let oplane = want.len() / planes;
+        for (o, (&gv, &ai)) in g.iter().zip(&arg).enumerate() {
+            gx_want[(o / oplane) * h * w + ai] += gv;
+        }
+        let (gx, gp) = pool.backward(&x, &cache, &Tensor::from_vec(y.shape().to_vec(), g));
+        assert_bits_eq(gx.as_slice(), &gx_want)?;
+        prop_assert!(gp.is_empty());
     }
 }
